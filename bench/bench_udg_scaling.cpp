@@ -38,26 +38,21 @@ double peak_rss_bytes() {
   return 0.0;
 }
 
-/// Shard-engine scaling sweep (opt-in via --shard-n): one constant-density
-/// UDG (average degree ~10, side grows with sqrt(n) so density is fixed and
-/// the per-ball work is n-independent), build th2?k=1 with the flat pooled
-/// engine (S = 1, the pre-shard code path) and with the sharded
-/// frontier-batched engine at S in {2, 4, 8}. Every sharded build is
-/// checked bit-identical to the flat spanner before its time is reported —
-/// a speedup over a wrong answer is worthless. Written as a SEPARATE
-/// report (BENCH_udg_shard_scaling.json) so the long-standing udg_scaling
-/// baseline keys stay untouched; CI's scale job diffs it against
-/// bench/baselines/BENCH_udg_shard_scaling.json with timing keys one-sided
-/// and speedups ignored (machine-dependent).
-int run_shard_scaling(std::uint64_t n, std::uint64_t batch, std::uint64_t seed) {
-  Report report("udg_shard_scaling");
+/// Scale build (opt-in via --scale-n): one constant-density UDG (average
+/// degree ~10, side grows with sqrt(n) so density is fixed and the
+/// per-ball work is n-independent) and one th2?k=1 build through the
+/// library's single tree-union driver. Written as a SEPARATE report
+/// (BENCH_udg_scale.json) so the long-standing udg_scaling baseline keys
+/// stay untouched; CI's scale job diffs it against
+/// bench/baselines/BENCH_udg_scale.json with every count exact and
+/// build_seconds one-sided at zero slack.
+int run_scale(std::uint64_t n, std::uint64_t seed) {
+  Report report("udg_scale");
   report.seed(seed);
-  report.param("shard_n", n);
-  report.param("shard_batch", batch);
+  report.param("scale_n", n);
 
-  banner("Shard-engine scaling — flat pooled vs sharded frontier-batched union",
-         "identical spanner bits, per-shard locality pays at n where the CSR "
-         "outgrows cache");
+  banner("Scale build — th2?k=1 on a constant-density UDG",
+         "one locality-ordered tree-union driver; timed end to end through the registry");
 
   // density 10/pi nodes per unit area => expected average degree ~10.
   const double side = std::sqrt(static_cast<double>(n) * 3.14159265358979323846 / 10.0);
@@ -65,54 +60,24 @@ int run_shard_scaling(std::uint64_t n, std::uint64_t batch, std::uint64_t seed) 
   const Graph g = paper_udg(side, static_cast<double>(n), seed);
   std::cout << "workload: mean n = " << n << ", side = " << format_double(side, 1)
             << " -> largest component n = " << g.num_nodes() << ", m = " << g.num_edges()
-            << " (" << format_double(gen_timer.seconds(), 1) << " s to generate)\n\n";
+            << " (" << format_double(gen_timer.seconds(), 1) << " s to generate)\n";
   report.value("nodes", g.num_nodes());
   report.value("edges", g.num_edges());
 
   const api::SpannerSpec spec = api::parse_spanner_spec("th2?k=1");
-  Table table({"engine", "shards", "seconds", "speedup vs flat", "spanner edges"});
-
-  api::BuildContext flat_ctx;
-  Timer flat_timer;
-  const api::SpannerResult flat = api::build_spanner(g, spec, flat_ctx);
-  const double flat_seconds = flat_timer.seconds();
-  table.add_row({"flat pooled", "1", format_double(flat_seconds, 2), "1.00",
-                 std::to_string(flat.edges.size())});
-  report.value("spanner_edges", flat.edges.size());
-  report.value("flat_seconds", flat_seconds);
-
-  double speedup_s8 = 0.0;
-  for (const std::uint32_t shards : {std::uint32_t{2}, std::uint32_t{4}, std::uint32_t{8}}) {
-    api::BuildContext ctx;
-    ctx.shards.num_shards = shards;
-    ctx.shards.batch_roots = static_cast<std::uint32_t>(batch);
-    Timer timer;
-    const api::SpannerResult sharded = api::build_spanner(g, spec, ctx);
-    const double seconds = timer.seconds();
-    // The shard-invariance contract, enforced at full scale, not just in
-    // the tier-1 corpus: bit-identical spanner or the bench aborts.
-    REMSPAN_CHECK(sharded.edges == flat.edges);
-    const double speedup = flat_seconds / seconds;
-    if (shards == 8) speedup_s8 = speedup;
-    table.add_row({"sharded", std::to_string(shards), format_double(seconds, 2),
-                   format_double(speedup, 2), std::to_string(sharded.edges.size())});
-    report.value("s" + std::to_string(shards) + "_seconds", seconds);
-    report.value("speedup_s" + std::to_string(shards), speedup);
-  }
-  table.print(std::cout);
-  std::cout << "\nall sharded spanners verified bit-identical to the flat engine\n";
-
-  // Raw speedups are machine-dependent (CI ignores them); the acceptance
-  // criterion itself — >= 3x at 8 shards — is binary and gates hard via
-  // bench_diff's default threshold (1 -> 0 is a 100% regression).
-  report.value("speedup_s8_ge_3", speedup_s8 >= 3.0 ? 1 : 0);
+  SpannerBuildInfo info;
+  api::BuildContext ctx;
+  ctx.info = &info;
+  Timer timer;
+  const api::SpannerResult res = api::build_spanner(g, spec, ctx);
+  const double seconds = timer.seconds();
+  std::cout << "build: " << format_double(seconds, 2) << " s on "
+            << ThreadPool::global().concurrency() << " workers, " << res.edges.size()
+            << " spanner edges, " << info.sum_tree_edges << " tree edges summed over roots\n";
+  report.value("spanner_edges", res.edges.size());
+  report.value("sum_tree_edges", info.sum_tree_edges);
+  report.value("build_seconds", seconds);
   report.finish();
-  // The acceptance gate (>= 3x at 8 shards) lives in the committed baseline
-  // + bench_diff, not an assert here: a laptop run should print, not die.
-  if (speedup_s8 < 3.0) {
-    std::cout << "note: speedup at 8 shards is " << format_double(speedup_s8, 2)
-              << "x (< 3x target)\n";
-  }
   return 0;
 }
 
@@ -127,21 +92,18 @@ int bench_main(int argc, char** argv) {
   // scheme cost workers * m/8 and was the first thing to blow memory when
   // scaling n); the larger default top size is affordable because of it.
   const auto n_max = static_cast<std::uint64_t>(opts.get_int("n-max", 6400));
-  // Shard-engine scaling sweep (off by default: it targets n >= 10^7 and
-  // runs only in the dedicated CI scale job / local opt-in).
-  const auto shard_n = static_cast<std::uint64_t>(opts.get_int("shard-n", 0));
-  const auto shard_batch = static_cast<std::uint64_t>(opts.get_int("shard-batch", 128));
-  const auto shard_seed = static_cast<std::uint64_t>(opts.get_int("shard-seed", 1));
-  const bool shard_only = opts.get_flag("shard-only");
+  // Scale build (off by default: it targets n >= 10^7 and runs only in
+  // the dedicated CI scale job / local opt-in).
+  const auto scale_n = static_cast<std::uint64_t>(opts.get_int("scale-n", 0));
+  const auto scale_seed = static_cast<std::uint64_t>(opts.get_int("scale-seed", 1));
+  const bool scale_only = opts.get_flag("scale-only");
   if (opts.help_requested()) {
     std::cout << opts.usage();
     return 0;
   }
   if (!opts.reject_unknown(std::cerr)) return 2;
 
-  if (shard_only) {
-    return shard_n > 0 ? run_shard_scaling(shard_n, shard_batch, shard_seed) : 0;
-  }
+  if (scale_only) return scale_n > 0 ? run_scale(scale_n, scale_seed) : 0;
 
   Report report("udg_scaling");
   report.param("side", side);
@@ -218,7 +180,7 @@ int bench_main(int argc, char** argv) {
   report.value("k2_over_k1_ratio", h2_edges.back() / h1_edges.back());
   report.finish();
 
-  if (shard_n > 0) return run_shard_scaling(shard_n, shard_batch, shard_seed);
+  if (scale_n > 0) return run_scale(scale_n, scale_seed);
   return 0;
 }
 

@@ -465,10 +465,6 @@ int tool_main(int argc, char** argv) {
   const std::string trace_out = opts.get_string("trace-out", "");
   const std::string metrics_out = opts.get_string("metrics-out", "");
   const FaultConfig faults = fault_config_from_flags(opts, seed);
-  // --shards S builds through the sharded engine (S >= 2; 1 = flat engine,
-  // same output either way), --shard-batch the roots per frontier batch.
-  const auto shards = static_cast<std::size_t>(opts.get_int("shards", 1));
-  const auto shard_batch = static_cast<std::size_t>(opts.get_int("shard-batch", 128));
   const std::string emit_trace_path = opts.get_string("emit-churn-trace", "");
   const auto trace_batches = static_cast<std::size_t>(opts.get_int("trace-batches", 20));
   const auto trace_events = static_cast<std::size_t>(opts.get_int("trace-events", 10));
@@ -523,8 +519,6 @@ int tool_main(int argc, char** argv) {
   // Thread the CLI seed RNG through seeded builds — unless the spec string
   // itself pinned a seed, which then drives a fresh RNG inside the build.
   if (!spec_seed_explicit) ctx.rng = &rng;
-  ctx.shards.num_shards = shards;
-  ctx.shards.batch_roots = shard_batch;
   const api::SpannerResult res = api::build_spanner(g, spec, ctx);
   const double build_s = timer.seconds();
 

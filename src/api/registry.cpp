@@ -42,7 +42,7 @@ Construction make_th1() {
   c.name = "th1";
   c.summary = "Theorem 1: union of (r,1)-dominating trees, (1+eps,1-2eps)-remote-spanner";
   c.build_edges = [](const Graph& g, const SpannerSpec& spec, const BuildContext& ctx) {
-    return build_low_stretch_remote_spanner(g, spec.eps, spec.tree, ctx.info, ctx.shards);
+    return build_low_stretch_remote_spanner(g, spec.eps, spec.tree, ctx.info);
   };
   c.guarantee = [](const SpannerSpec& spec) {
     return Stretch{1.0 + spec.eps, 1.0 - 2.0 * spec.eps};
@@ -73,7 +73,7 @@ Construction make_th2() {
   c.name = "th2";
   c.summary = "Theorem 2: k-connecting greedy trees, k-connecting (1,0)-remote-spanner";
   c.build_edges = [](const Graph& g, const SpannerSpec& spec, const BuildContext& ctx) {
-    return build_k_connecting_spanner(g, spec.k, ctx.info, ctx.shards);
+    return build_k_connecting_spanner(g, spec.k, ctx.info);
   };
   c.guarantee = [](const SpannerSpec&) { return Stretch{1.0, 0.0}; };
   c.guarantee_label = [](const SpannerSpec& spec) {
@@ -97,7 +97,7 @@ Construction make_th3() {
   c.name = "th3";
   c.summary = "Theorem 3: k rounds of MIS trees, 2-connecting (2,-1)-remote-spanner";
   c.build_edges = [](const Graph& g, const SpannerSpec& spec, const BuildContext& ctx) {
-    return build_2connecting_spanner(g, spec.k, ctx.info, ctx.shards);
+    return build_2connecting_spanner(g, spec.k, ctx.info);
   };
   c.guarantee = [](const SpannerSpec&) { return Stretch{2.0, -1.0}; };
   c.guarantee_label = [](const SpannerSpec&) { return std::string("2-connecting remote (2,-1)"); };

@@ -42,11 +42,6 @@ struct BuildContext {
   Rng* rng = nullptr;
   /// Filled with per-root tree aggregates when the construction has them.
   SpannerBuildInfo* info = nullptr;
-  /// Execution engine for the union-of-trees constructions (th1, th2, th3):
-  /// the default single-shard config is the flat pooled engine; num_shards
-  /// >= 2 runs the sharded frontier-batched engine (src/shard) with
-  /// bit-identical output. Constructions without per-root trees ignore it.
-  ShardConfig shards{};
 };
 
 /// Knobs of the verifier hook; defaults match remspan_tool's oracle calls.

@@ -1,44 +1,51 @@
 #include "core/remote_spanner.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <functional>
-#include <utility>
 #include <vector>
 
+#include "graph/locality_order.hpp"
 #include "obs/obs.hpp"
-#include "shard/shard_engine.hpp"
 #include "util/bitset.hpp"
 #include "util/thread_pool.hpp"
 
 namespace remspan {
 
-namespace {
+TreeUnionDriver::TreeUnionDriver(const Graph& g)
+    : builders_(ThreadPool::global().concurrency()) {
+  for (auto& b : builders_) b = std::make_unique<DomTreeBuilder>(g);
+}
 
-/// Shared driver: runs `make_tree(builder, u)` for every root u in parallel,
-/// unioning the tree edges into one shared bitset of atomic words — O(m)
-/// bits total, independent of the worker count (the previous per-worker
-/// EdgeSet accumulators cost O(workers · m), which is what blew memory
+void TreeUnionDriver::rebind(const Graph& g) {
+  for (auto& b : builders_) b->rebind(g);
+}
+
+void TreeUnionDriver::run(std::span<const NodeId> roots, const TreeMaker& make_tree,
+                          const TreeVisitor& visit) {
+  ThreadPool::global().parallel_for_workers(
+      0, roots.size(), [&](std::size_t i, std::size_t worker) {
+        const NodeId root = roots[i];
+        visit(root, make_tree(*builders_[worker], root), worker);
+      });
+}
+
+/// Unions the tree edges into one shared bitset of atomic words — O(m)
+/// bits total, independent of the worker count (per-worker EdgeSet
+/// accumulators would cost O(workers · m), which is what blows memory
 /// first on n >= 10^6 inputs).
 ///
 /// Memory model: each worker merges one tree's edge bits into plain
 /// (word, mask) pairs first, then publishes each touched word with a single
 /// relaxed fetch_or. Relaxed is sufficient because a set bit carries no
 /// payload other threads read through it; the final snapshot() happens
-/// after the fork/join barrier of parallel_for_workers, which orders every
-/// write before the read.
-EdgeSet union_of_trees(const Graph& g,
-                       const std::function<RootedTree(DomTreeBuilder&, NodeId)>& make_tree,
-                       SpannerBuildInfo* info) {
+/// after the fork/join barrier of the driver's parallel loop, which orders
+/// every write before the read.
+EdgeSet union_of_trees(const Graph& g, std::span<const NodeId> roots,
+                       const TreeMaker& make_tree, SpannerBuildInfo* info) {
   obs::PhaseSpan span("core.union_of_trees");
-  auto& pool = ThreadPool::global();
-  const std::size_t workers = pool.concurrency();
-
+  TreeUnionDriver driver(g);
   AtomicBitset shared(g.num_edges());
-  std::vector<std::unique_ptr<DomTreeBuilder>> builders(workers);
-  for (auto& b : builders) b = std::make_unique<DomTreeBuilder>(g);
   // Per-worker reusable edge-id buffer, sized by the largest tree seen.
-  std::vector<std::vector<EdgeId>> edge_ids(workers);
+  std::vector<std::vector<EdgeId>> edge_ids(driver.workers());
 
   std::atomic<std::size_t> sum_edges{0};
   std::atomic<std::size_t> max_edges{0};
@@ -49,8 +56,7 @@ EdgeSet union_of_trees(const Graph& g,
   std::atomic<std::uint64_t> cas_retries{0};
   const bool count_union = obs::metrics() != nullptr;
 
-  pool.parallel_for_workers(0, g.num_nodes(), [&](std::size_t root, std::size_t worker) {
-    const RootedTree tree = make_tree(*builders[worker], static_cast<NodeId>(root));
+  driver.run(roots, make_tree, [&](NodeId /*root*/, const RootedTree& tree, std::size_t worker) {
     auto& ids = edge_ids[worker];
     ids.clear();
     for (const NodeId v : tree.nodes()) {
@@ -88,7 +94,7 @@ EdgeSet union_of_trees(const Graph& g,
   }
   if (obs::Registry* m = obs::metrics()) {
     m->counter("union.builds").add(1);
-    m->counter("union.trees").add(g.num_nodes());
+    m->counter("union.trees").add(roots.size());
     m->counter("union.words_ord").add(words_ord.load());
     m->counter("union.cas_retries").add(cas_retries.load());
     m->counter("union.spanner_edges").add(spanner.size());
@@ -96,48 +102,44 @@ EdgeSet union_of_trees(const Graph& g,
   return spanner;
 }
 
+namespace {
+
+/// Every front-end's build: all roots, in locality order.
+EdgeSet union_over_all_roots(const Graph& g, const TreeMaker& make_tree,
+                             SpannerBuildInfo* info) {
+  return union_of_trees(g, locality_root_order(g, kLocalityCluster), make_tree, info);
+}
+
 }  // namespace
 
 EdgeSet build_remote_spanner(const Graph& g, Dist r, Dist beta, TreeAlgorithm algo,
-                             SpannerBuildInfo* info, const ShardConfig& shards) {
+                             SpannerBuildInfo* info) {
   REMSPAN_CHECK(r >= 2);
   if (algo == TreeAlgorithm::kMis) {
     REMSPAN_CHECK(beta == 1);  // Algorithm 2 computes (r,1)-dominating trees
-    const auto make_tree = [r](DomTreeBuilder& b, NodeId u) { return b.mis(u, r); };
-    if (shards.sharded()) return sharded_union_of_trees(g, r, make_tree, shards, info);
-    return union_of_trees(g, make_tree, info);
+    return union_over_all_roots(
+        g, [r](DomTreeBuilder& b, NodeId u) { return b.mis(u, r); }, info);
   }
-  // The greedy ball: the BFS explores to max(r, r-1+beta), the deepest
-  // shell the candidate ranges reach (dominating_tree.cpp uses the same
-  // bound); the sharded gather must cover exactly that.
-  const Dist ball_depth = std::max<Dist>(r, r - 1 + beta);
-  const auto make_tree = [r, beta](DomTreeBuilder& b, NodeId u) {
-    return b.greedy(u, r, beta);
-  };
-  if (shards.sharded()) return sharded_union_of_trees(g, ball_depth, make_tree, shards, info);
-  return union_of_trees(g, make_tree, info);
+  return union_over_all_roots(
+      g, [r, beta](DomTreeBuilder& b, NodeId u) { return b.greedy(u, r, beta); }, info);
 }
 
 EdgeSet build_low_stretch_remote_spanner(const Graph& g, double eps, TreeAlgorithm algo,
-                                         SpannerBuildInfo* info, const ShardConfig& shards) {
+                                         SpannerBuildInfo* info) {
   const Dist r = domination_radius_for_eps(eps);
-  return build_remote_spanner(g, r, 1, algo, info, shards);
+  return build_remote_spanner(g, r, 1, algo, info);
 }
 
-EdgeSet build_k_connecting_spanner(const Graph& g, Dist k, SpannerBuildInfo* info,
-                                   const ShardConfig& shards) {
+EdgeSet build_k_connecting_spanner(const Graph& g, Dist k, SpannerBuildInfo* info) {
   REMSPAN_CHECK(k >= 1);
-  const auto make_tree = [k](DomTreeBuilder& b, NodeId u) { return b.greedy_k(u, k); };
-  if (shards.sharded()) return sharded_union_of_trees(g, 2, make_tree, shards, info);
-  return union_of_trees(g, make_tree, info);
+  return union_over_all_roots(
+      g, [k](DomTreeBuilder& b, NodeId u) { return b.greedy_k(u, k); }, info);
 }
 
-EdgeSet build_2connecting_spanner(const Graph& g, Dist k, SpannerBuildInfo* info,
-                                  const ShardConfig& shards) {
+EdgeSet build_2connecting_spanner(const Graph& g, Dist k, SpannerBuildInfo* info) {
   REMSPAN_CHECK(k >= 1);
-  const auto make_tree = [k](DomTreeBuilder& b, NodeId u) { return b.mis_k(u, k); };
-  if (shards.sharded()) return sharded_union_of_trees(g, 2, make_tree, shards, info);
-  return union_of_trees(g, make_tree, info);
+  return union_over_all_roots(
+      g, [k](DomTreeBuilder& b, NodeId u) { return b.mis_k(u, k); }, info);
 }
 
 }  // namespace remspan

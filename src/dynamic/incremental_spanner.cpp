@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 
+#include "graph/locality_order.hpp"
 #include "graph/views.hpp"
 #include "obs/obs.hpp"
 #include "util/thread_pool.hpp"
@@ -128,55 +129,41 @@ std::vector<NodeId> collect_dirty_roots_split(const Graph& old_graph, const Grap
   return dirty;
 }
 
-namespace {
-
-/// Records one built tree: stores its edges as canonical node pairs into
-/// `out` and bumps the shared refcounts through its recorded parent-edge
-/// ids (valid in the graph the tree was built on).
-std::size_t record_tree(const RootedTree& tree, std::vector<Edge>& out,
-                        std::vector<std::uint32_t>& ref) {
-  out.clear();
-  for (const NodeId v : tree.nodes()) {
-    if (v == tree.root()) continue;
-    out.push_back(make_edge(v, tree.parent(v)));
-    const EdgeId id = tree.parent_edge(v);
-    REMSPAN_CHECK(id != kInvalidEdge);
-    std::atomic_ref<std::uint32_t>(ref[id]).fetch_add(1, std::memory_order_relaxed);
-  }
-  return out.size();
-}
-
-}  // namespace
-
 IncrementalSpanner::IncrementalSpanner(DynamicGraph& graph, IncrementalConfig config)
     : dynamic_(&graph),
       config_(config),
       graph_(graph.snapshot()),
       version_(graph.version()),
+      trees_(graph_->num_nodes()),
+      ref_(graph_->num_edges(), 0),
       spanner_(*graph_),
+      driver_(*graph_),
       dirty_flag_(graph.num_nodes(), 0),
       dirty_bfs_(graph.num_nodes()) {
-  builders_.resize(ThreadPool::global().concurrency());
-  full_build();
+  build_trees(locality_root_order(*graph_, kLocalityCluster));
+  rebuild_spanner_bits();
 }
 
-void IncrementalSpanner::full_build() {
-  const Graph& g = *graph_;
-  trees_.assign(g.num_nodes(), {});
-  ref_.assign(g.num_edges(), 0);
-  for (auto& b : builders_) {
-    if (b == nullptr) {
-      b = std::make_unique<DomTreeBuilder>(g);
-    } else {
-      b->rebind(g);
-    }
-  }
-  ThreadPool::global().parallel_for_workers(
-      0, g.num_nodes(), [&](std::size_t root, std::size_t worker) {
-        const RootedTree tree = config_.build_tree(*builders_[worker], static_cast<NodeId>(root));
-        record_tree(tree, trees_[root], ref_);
+std::size_t IncrementalSpanner::build_trees(std::span<const NodeId> roots) {
+  std::atomic<std::size_t> built{0};
+  driver_.run(
+      roots, [this](DomTreeBuilder& b, NodeId u) { return config_.build_tree(b, u); },
+      // record_tree: store the tree as canonical node pairs and bump the
+      // shared refcounts through its recorded parent-edge ids (valid in the
+      // graph the tree was built on).
+      [&](NodeId root, const RootedTree& tree, std::size_t /*worker*/) {
+        std::vector<Edge>& out = trees_[root];
+        out.clear();
+        for (const NodeId v : tree.nodes()) {
+          if (v == tree.root()) continue;
+          out.push_back(make_edge(v, tree.parent(v)));
+          const EdgeId id = tree.parent_edge(v);
+          REMSPAN_CHECK(id != kInvalidEdge);
+          std::atomic_ref<std::uint32_t>(ref_[id]).fetch_add(1, std::memory_order_relaxed);
+        }
+        built.fetch_add(out.size(), std::memory_order_relaxed);
       });
-  rebuild_spanner_bits();
+  return built.load();
 }
 
 void IncrementalSpanner::rebuild_spanner_bits() {
@@ -221,13 +208,11 @@ ChurnBatchStats IncrementalSpanner::apply_batch(std::span<const GraphEvent> even
                                      dirty_bfs_, dirty_flag_);
   stats.dirty_roots = dirty_.size();
 
-  auto& pool = ThreadPool::global();
-
   // Phase 1 — retire: drop the dirty roots' old tree edges from the
   // refcount union (still in the old snapshot's id space; the stored node
   // pairs resolve through the old adjacency).
   std::atomic<std::size_t> retired{0};
-  pool.parallel_for(0, dirty_.size(), [&](std::size_t i) {
+  ThreadPool::global().parallel_for(0, dirty_.size(), [&](std::size_t i) {
     const NodeId root = dirty_[i];
     for (const Edge& e : trees_[root]) {
       const EdgeId id = old_graph->find_edge(e.u, e.v);
@@ -253,21 +238,15 @@ ChurnBatchStats IncrementalSpanner::apply_batch(std::span<const GraphEvent> even
   }
   ref_ = std::move(new_ref);
 
-  // Phase 3 — rebuild the dirty roots' trees against the new snapshot on
-  // the pool, re-adding their edges to the refcount union.
-  for (auto& b : builders_) b->rebind(*new_graph);
-  std::atomic<std::size_t> rebuilt{0};
-  pool.parallel_for_workers(0, dirty_.size(), [&](std::size_t i, std::size_t worker) {
-    const NodeId root = dirty_[i];
-    const RootedTree tree = config_.build_tree(*builders_[worker], root);
-    rebuilt.fetch_add(record_tree(tree, trees_[root], ref_), std::memory_order_relaxed);
-  });
-  stats.rebuilt_tree_edges = rebuilt.load();
+  // Phase 3 — rebuild the dirty roots' trees against the new snapshot with
+  // the persistent builders, re-adding their edges to the refcount union.
+  graph_ = new_graph;
+  version_ = stats.version;
+  driver_.rebind(*graph_);
+  stats.rebuilt_tree_edges = build_trees(dirty_);
 
   // Phase 4 — publish: the spanner is exactly the positively-refcounted
   // edge set over the new snapshot.
-  graph_ = new_graph;
-  version_ = stats.version;
   rebuild_spanner_bits();
   stats.spanner_edges = spanner_.size();
   stats.seconds = span.seconds();

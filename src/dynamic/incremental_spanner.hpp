@@ -19,8 +19,9 @@
 //   3. retires the dirty roots' old tree edges from a per-edge refcount
 //      union (refcount = how many roots' trees currently contain the edge),
 //      remaps the surviving refcounts into the new edge-id space,
-//   4. re-runs only the dirty roots' tree builds on the thread pool and
-//      re-adds their edges, and
+//   4. re-runs only the dirty roots' tree builds through the shared
+//      per-root driver (core/remote_spanner.hpp) and re-adds their edges,
+//      and
 //   5. re-derives the spanner bitset as {e : refcount[e] > 0}.
 //
 // Equivalence guarantee: after every batch the maintained spanner is
@@ -33,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -189,7 +189,9 @@ class IncrementalSpanner {
   }
 
  private:
-  void full_build();
+  /// Builds `roots` against graph_ through driver_, recording each tree
+  /// into trees_ and ref_; returns the number of tree edges added.
+  std::size_t build_trees(std::span<const NodeId> roots);
   void rebuild_spanner_bits();
 
   DynamicGraph* dynamic_;
@@ -203,7 +205,7 @@ class IncrementalSpanner {
   /// concurrently (std::atomic_ref) during the retire/rebuild phases.
   std::vector<std::uint32_t> ref_;
   EdgeSet spanner_;
-  std::vector<std::unique_ptr<DomTreeBuilder>> builders_;
+  TreeUnionDriver driver_;
   std::vector<NodeId> dirty_;
   std::vector<std::uint8_t> dirty_flag_;
   BoundedBfs dirty_bfs_;

@@ -1,9 +1,12 @@
 #include "graph/graphio.hpp"
 
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 namespace remspan {
 
@@ -14,23 +17,58 @@ void write_edge_list(std::ostream& out, const Graph& g) {
   }
 }
 
+namespace {
+
+bool is_blank(char c) noexcept { return c == ' ' || c == '\t' || c == '\r'; }
+
+std::string_view skip_blanks(std::string_view s) noexcept {
+  while (!s.empty() && is_blank(s.front())) s.remove_prefix(1);
+  return s;
+}
+
+/// Takes one whole unsigned id off the front of `rest` — no sign, no
+/// suffix, in NodeId range — and the blanks after it. Parses in place: no
+/// allocation per line (the loader's throughput is a benchmark metric).
+bool take_id(std::string_view& rest, NodeId& out) noexcept {
+  const auto [end, ec] = std::from_chars(rest.data(), rest.data() + rest.size(), out);
+  const auto used = static_cast<std::size_t>(end - rest.data());
+  if (ec != std::errc{} || (used < rest.size() && !is_blank(rest[used]))) return false;
+  rest = skip_blanks(rest.substr(used));
+  return true;
+}
+
+[[noreturn]] void malformed(std::size_t line_no, const char* expected) {
+  throw CheckError("read_edge_list: line " + std::to_string(line_no) + ": expected " +
+                   expected);
+}
+
+}  // namespace
+
 Graph read_edge_list(std::istream& in) {
   std::string line;
+  std::size_t line_no = 0;
   NodeId n = 0;
   bool have_n = false;
   std::vector<std::pair<NodeId, NodeId>> pending;
   while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
+    ++line_no;
+    std::string_view rest = skip_blanks(line);
+    if (rest.empty() || rest.front() == '#') continue;
     if (!have_n) {
-      std::string tag;
-      ls >> tag >> n;
-      REMSPAN_CHECK(tag == "n");
+      const bool tagged = rest.size() > 1 && rest[0] == 'n' && is_blank(rest[1]);
+      rest = skip_blanks(rest.substr(1));
+      if (!tagged || !take_id(rest, n) || !rest.empty()) {
+        malformed(line_no, "the header 'n <num_nodes>'");
+      }
       have_n = true;
       continue;
     }
-    NodeId u = 0, v = 0;
-    if (ls >> u >> v) pending.emplace_back(u, v);
+    NodeId u = 0;
+    NodeId v = 0;
+    if (!take_id(rest, u) || !take_id(rest, v) || !rest.empty()) {
+      malformed(line_no, "exactly two node ids '<u> <v>'");
+    }
+    pending.emplace_back(u, v);
   }
   REMSPAN_CHECK(have_n);
   GraphBuilder builder(n);

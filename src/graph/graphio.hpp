@@ -16,6 +16,10 @@ namespace remspan {
 ///   # comments allowed
 ///   n <num_nodes>
 ///   <u> <v>        (one edge per line)
+/// Blank lines and lines starting with '#' (after optional blanks) are
+/// skipped. Every other line must be exactly the header, then exactly two
+/// unsigned ids, with surrounding blanks allowed; anything else throws
+/// CheckError naming the 1-based line number — no line is silently dropped.
 void write_edge_list(std::ostream& out, const Graph& g);
 [[nodiscard]] Graph read_edge_list(std::istream& in);
 

@@ -117,7 +117,7 @@ struct Snapshot {
   [[nodiscard]] Snapshot diff(const Snapshot& earlier) const;
 
   /// Adds `other` into this snapshot (union of keys, cells summed) — the
-  /// aggregation primitive for per-shard or per-run telemetry.
+  /// aggregation primitive for per-worker or per-run telemetry.
   void merge(const Snapshot& other);
 
   /// Full snapshot as a JSON document (the --metrics-out /

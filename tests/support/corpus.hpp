@@ -1,6 +1,6 @@
 // The shared random-graph corpus of the equivalence suites. Every suite
 // that pins bit-exactness (domtree hot path, incremental maintenance,
-// observability no-feedback, shard invariance) sweeps the same families,
+// observability no-feedback, root-order invariance) sweeps the same families,
 // seeds and parameter grids, so the corpus lives here once instead of
 // drifting apart across test files.
 //
@@ -26,7 +26,7 @@ namespace remspan::testsupport {
 /// geometry (sparse/dense Gnp, grid, unit-ball, hypercube, bipartite).
 inline constexpr int kNumEquivalenceFamilies = 6;
 
-/// The static-equivalence corpus (domtree and shard suites): small graphs
+/// The static-equivalence corpus (domtree and order-invariance suites): small graphs
 /// whose full family x seed x parameter sweep stays tier-1 fast.
 inline Graph equivalence_family(int which, std::uint64_t seed) {
   Rng rng(seed);

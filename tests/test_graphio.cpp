@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "geom/synthetic.hpp"
 #include "graph/graphio.hpp"
@@ -45,6 +46,39 @@ TEST(GraphIo, CommentsAndBlanksIgnored) {
 TEST(GraphIo, MissingHeaderThrows) {
   std::stringstream in("0 1\n");
   EXPECT_THROW((void)read_edge_list(in), CheckError);
+}
+
+/// Expects read_edge_list to reject `text` with a CheckError naming `line`.
+void expect_rejected_at(const std::string& text, int line) {
+  std::stringstream in(text);
+  try {
+    (void)read_edge_list(in);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("line " + std::to_string(line) + ":"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(GraphIo, MalformedEdgeLinesThrowNamingTheLine) {
+  expect_rejected_at("n 3\n0 1\nfoo bar\n1 2", 3);  // was silently dropped (m = 2)
+  expect_rejected_at("n 3\n0 1 junk\n", 2);         // was accepted as 0 1
+  expect_rejected_at("n 3\n0\n", 2);
+  expect_rejected_at("n 3\n0 -1\n", 2);
+  expect_rejected_at("n 3\n0 1x\n", 2);
+  expect_rejected_at("n 3\n0 4294967296\n", 2);
+  expect_rejected_at("# c\nn 3 extra\n", 2);
+  expect_rejected_at("nodes 3\n", 1);
+}
+
+TEST(GraphIo, SurroundingBlanksAndCrlfAccepted) {
+  std::stringstream in("n 4\r\n  0\t1  \r\n\t \n  # indented comment\n2 3\n");
+  const Graph g = read_edge_list(in);
+  EXPECT_EQ(g.num_nodes(), 4u);
+  EXPECT_EQ(g.num_edges(), 2u);
+  EXPECT_TRUE(g.has_edge(0, 1));
+  EXPECT_TRUE(g.has_edge(2, 3));
 }
 
 TEST(GraphIo, DotContainsAllEdges) {

@@ -288,8 +288,8 @@ TEST(AtomicBitset, OrBatchCountsWordsEvenWhenBitsAlreadySet) {
 }
 
 TEST(AtomicBitset, OrBatchConcurrentCallersConserveWordsAndBits) {
-  // Many workers publish overlapping batches concurrently (the shard
-  // engine's level-1 merge). Two conservation laws: the union is exact, and
+  // Many workers publish overlapping batches concurrently (the static
+  // tree union in core/remote_spanner.cpp). Two conservation laws: the union is exact, and
   // each caller's return value equals the distinct-word count of its own
   // batch — a pure function of the batch, independent of interleaving.
   constexpr std::size_t kBits = 4096;

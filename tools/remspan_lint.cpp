@@ -342,7 +342,7 @@ class FileLinter {
     if (starts_with(path_, "src/") || starts_with(path_, "include/")) check_r4();
     check_r5();
     for (const char* sub : {"src/core/", "src/graph/", "src/dynamic/", "src/baseline/",
-                            "src/shard/", "src/sim/"}) {
+                            "src/sim/"}) {
       if (starts_with(path_, sub)) {
         check_r6();
         break;
