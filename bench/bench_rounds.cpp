@@ -1,8 +1,11 @@
 // E8 — Table 1's "Comp. time" column: every construction runs in O(1)
 // rounds (O(eps^-1) for Theorem 1), independent of n. Measured on the
 // synchronous simulator: exact round counts (paper formula 2r - 1 + 2*beta)
-// and communication volume per node.
+// and communication volume per node. The report also carries per-construction
+// totals of transmissions and payload words, which CI gates exactly.
 #include <algorithm>
+#include <map>
+#include <string>
 
 #include "api/registry.hpp"
 #include "bench_common.hpp"
@@ -31,6 +34,9 @@ int bench_main(int argc, char** argv) {
   bool all_rounds_match = true;
   std::size_t max_rounds = 0;
   double max_tx_per_node = 0.0;
+  // Per-construction wire totals over every n: deterministic at fixed seed,
+  // so the committed baseline gates them exactly.
+  std::map<std::string, NetworkStats> totals;
   Table table({"n", "construction", "scope", "rounds", "paper", "tx/node", "words/node"});
   for (std::uint64_t n = 200; n <= n_max; n *= 2) {
     const Graph g = paper_udg(side, static_cast<double>(n), 70 + n);
@@ -38,19 +44,24 @@ int bench_main(int argc, char** argv) {
     // eps=.25 -> r=5).
     struct Case {
       const char* name;
+      const char* key;  // report-key suffix
       RemSpanConfig cfg;
     };
     const std::vector<Case> cases = {
-        {"(1,0)-rem-span [Th.2 k=1]", api::protocol_config(api::parse_spanner_spec("th2?k=1"))},
-        {"2-conn (2,-1) [Th.3]", api::protocol_config(api::parse_spanner_spec("th3?k=2"))},
-        {"OLSR MPR union [RFC 3626]", api::protocol_config(api::parse_spanner_spec("mpr"))},
-        {"(1.5,0)-rem-span [Th.1 eps=.5]",
+        {"(1,0)-rem-span [Th.2 k=1]", "th2_k1",
+         api::protocol_config(api::parse_spanner_spec("th2?k=1"))},
+        {"2-conn (2,-1) [Th.3]", "th3_k2",
+         api::protocol_config(api::parse_spanner_spec("th3?k=2"))},
+        {"OLSR MPR union [RFC 3626]", "mpr", api::protocol_config(api::parse_spanner_spec("mpr"))},
+        {"(1.5,0)-rem-span [Th.1 eps=.5]", "th1_eps050",
          api::protocol_config(api::parse_spanner_spec("th1?eps=0.5"))},
-        {"(1.25,.5)-rem-span [Th.1 eps=.25]",
+        {"(1.25,.5)-rem-span [Th.1 eps=.25]", "th1_eps025",
          api::protocol_config(api::parse_spanner_spec("th1?eps=0.25"))},
     };
-    for (const auto& [name, cfg] : cases) {
+    for (const auto& [name, key, cfg] : cases) {
       const auto run = run_remspan_distributed(g, cfg);
+      totals[key].transmissions += run.stats.transmissions;
+      totals[key].payload_words += run.stats.payload_words;
       all_rounds_match = all_rounds_match && run.rounds == cfg.expected_rounds();
       max_rounds = std::max<std::size_t>(max_rounds, run.rounds);
       max_tx_per_node = std::max(max_tx_per_node,
@@ -74,6 +85,10 @@ int bench_main(int argc, char** argv) {
   report.value("all_rounds_match_paper", static_cast<std::int64_t>(all_rounds_match));
   report.value("max_rounds", max_rounds);
   report.value("max_tx_per_node", max_tx_per_node);
+  for (const auto& [key, t] : totals) {
+    report.value("transmissions_" + key, t.transmissions);
+    report.value("payload_words_" + key, t.payload_words);
+  }
   report.finish();
   return 0;
 }

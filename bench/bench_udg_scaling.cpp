@@ -10,7 +10,6 @@
 #include "bench_common.hpp"
 #include "util/fit.hpp"
 #include "util/thread_pool.hpp"
-#include "util/timer.hpp"
 
 #include <cmath>
 
@@ -56,7 +55,7 @@ int run_scale(std::uint64_t n, std::uint64_t seed) {
 
   // density 10/pi nodes per unit area => expected average degree ~10.
   const double side = std::sqrt(static_cast<double>(n) * 3.14159265358979323846 / 10.0);
-  Timer gen_timer;
+  obs::Stopwatch gen_timer;
   const Graph g = paper_udg(side, static_cast<double>(n), seed);
   std::cout << "workload: mean n = " << n << ", side = " << format_double(side, 1)
             << " -> largest component n = " << g.num_nodes() << ", m = " << g.num_edges()
@@ -68,7 +67,7 @@ int run_scale(std::uint64_t n, std::uint64_t seed) {
   SpannerBuildInfo info;
   api::BuildContext ctx;
   ctx.info = &info;
-  Timer timer;
+  obs::Stopwatch timer;
   const api::SpannerResult res = api::build_spanner(g, spec, ctx);
   const double seconds = timer.seconds();
   std::cout << "build: " << format_double(seconds, 2) << " s on "

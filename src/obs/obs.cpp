@@ -12,8 +12,8 @@ std::atomic<std::uint32_t> g_next_lane{0};
 
 /// The process trace epoch: started on first use, shared by every engine
 /// lane so spans from different threads line up on one time axis.
-const Timer& process_epoch() noexcept {
-  static const Timer epoch;
+const Stopwatch& process_epoch() noexcept {
+  static const Stopwatch epoch;
   return epoch;
 }
 

@@ -13,13 +13,34 @@
 //     bit-identical runs are byte-identical.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/timer.hpp"
 
 namespace remspan::obs {
+
+/// Monotonic stopwatch. Lint rule R7 confines raw clock reads to src/obs,
+/// so every wall-time measurement elsewhere goes through this class or
+/// PhaseSpan (which wraps it).
+class Stopwatch {
+ public:
+  Stopwatch() noexcept : start_(Clock::now()) {}
+
+  void reset() noexcept { start_ = Clock::now(); }
+
+  [[nodiscard]] double seconds() const noexcept {
+    return std::chrono::duration<double>(Clock::now() - start_).count();
+  }
+
+  [[nodiscard]] double millis() const noexcept { return seconds() * 1e3; }
+  [[nodiscard]] double micros() const noexcept { return seconds() * 1e6; }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point start_;
+};
 
 /// The installed sinks (either may be null). Hooks call these on every hit;
 /// both are a single relaxed-ish atomic load.
@@ -49,8 +70,8 @@ class ScopedSinks {
 /// of engine-lane events).
 [[nodiscard]] double process_micros() noexcept;
 
-/// RAII phase span: always a stopwatch (seconds() replaces the ad-hoc
-/// util/timer.hpp call sites), and additionally a B/E trace span on the
+/// RAII phase span: always a stopwatch (seconds() replaces ad-hoc timing
+/// at instrumented call sites), and additionally a B/E trace span on the
 /// current engine lane when a trace sink is installed. Name/category are
 /// borrowed pointers and must outlive the span (string literals at every
 /// call site).
@@ -84,7 +105,7 @@ class PhaseSpan {
  private:
   const char* name_;
   const char* cat_;
-  Timer timer_;
+  Stopwatch timer_;
   bool traced_ = false;
 };
 

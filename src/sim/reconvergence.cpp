@@ -16,11 +16,12 @@ const char* strategy_name(ReconvergeStrategy strategy) noexcept {
 
 namespace {
 
-/// The epoch-based node program behind ReconvergenceSim. Each batch is one
-/// epoch: the driver marks the node advertising or passive and restarts its
-/// local round counter; an advertising node replays the RemSpan schedule
-/// (HELLO, neighbor-list flood, tree recompute + flood) while a passive
-/// node only stores and forwards other nodes' floods.
+/// The node program of Algorithm RemSpan, run in epochs by ReconvergenceSim.
+/// The initial epoch is the one-shot run (run_remspan_distributed); after
+/// that each batch is one epoch: the driver marks the node advertising or
+/// passive and restarts its local round counter; an advertising node replays
+/// the RemSpan schedule (HELLO, neighbor-list flood, tree recompute + flood)
+/// while a passive node only stores and forwards other nodes' floods.
 class ReconvergeProtocol final : public Protocol {
  public:
   ReconvergeProtocol(const RemSpanConfig& config, NodeId self, const ReliabilityConfig& rel = {})
@@ -204,41 +205,9 @@ class ReconvergeProtocol final : public Protocol {
     return it == trees_.end() ? nullptr : &it->second;
   }
 
-  /// The scope-ball around this node walked over its stored lists: sorted
-  /// origins at distance 1..scope (self excluded). Entries inside the ball
-  /// are provably fresh (header comment), so the walk follows real edges
-  /// only; a missing in-ball entry would falsify the re-advertisement
-  /// invariant and is REMSPAN_CHECKed.
-  [[nodiscard]] std::vector<NodeId> ball_origins() const {
-    std::map<NodeId, Dist> dist;
-    dist.emplace(self_, 0);
-    std::vector<NodeId> frontier{self_};
-    for (Dist d = 0; d < config_.flood_scope() && !frontier.empty(); ++d) {
-      std::vector<NodeId> next;
-      for (const NodeId w : frontier) {
-        const std::vector<NodeId>* nbrs = &neighbors_;
-        if (w != self_) {
-          const auto it = lists_.find(w);
-          REMSPAN_CHECK(it != lists_.end());
-          nbrs = &it->second;
-        }
-        for (const NodeId x : *nbrs) {
-          if (dist.emplace(x, d + 1).second) next.push_back(x);
-        }
-      }
-      frontier = std::move(next);
-    }
-    std::vector<NodeId> out;
-    out.reserve(dist.size() - 1);
-    for (const auto& entry : dist) {
-      if (entry.first != self_) out.push_back(entry.first);
-    }
-    return out;  // std::map iteration: already sorted
-  }
-
   [[nodiscard]] std::map<NodeId, std::vector<NodeId>> pruned_lists() const {
     std::map<NodeId, std::vector<NodeId>> out;
-    for (const NodeId v : ball_origins()) {
+    for (const NodeId v : walk_ball().origins) {
       const auto it = lists_.find(v);
       REMSPAN_CHECK(it != lists_.end());
       out.emplace(v, it->second);
@@ -247,9 +216,11 @@ class ReconvergeProtocol final : public Protocol {
   }
 
   [[nodiscard]] std::map<NodeId, std::vector<Edge>> pruned_trees() const {
+    const BallWalk ball = walk_ball();
+    REMSPAN_CHECK(!ball.missing_list);
     std::map<NodeId, std::vector<Edge>> out;
     out.emplace(self_, tree_edges_);
-    for (const NodeId v : ball_origins()) {
+    for (const NodeId v : ball.origins) {
       const auto it = trees_.find(v);
       REMSPAN_CHECK(it != trees_.end());
       out.emplace(v, it->second);
@@ -282,14 +253,20 @@ class ReconvergeProtocol final : public Protocol {
     flood_.originate(ctx, kMsgTree, config_.flood_scope(), std::move(payload));
   }
 
-  /// The scope-ball walk tolerant of in-flight gaps: expands through stored
-  /// lists, silently skipping origins whose list has not arrived yet, and
-  /// returns the stored lists of the origins it reached. Mid-epoch under
-  /// loss this is a subset of the real ball; once every ball origin's final
-  /// list landed it equals the strict pruned view, so the last recompute
-  /// reads exactly the lossless inputs (stale out-of-ball leftovers are
-  /// unreachable from the fresh sensed neighbors).
-  [[nodiscard]] std::map<NodeId, std::vector<NodeId>> tolerant_ball_lists() const {
+  /// The scope-ball around this node, walked breadth-first over its stored
+  /// lists from its sensed neighbors to depth scope.
+  struct BallWalk {
+    std::vector<NodeId> origins;  ///< reached origins at distance 1..scope, sorted
+    bool missing_list = false;    ///< an origin the walk had to expand has no stored list
+  };
+
+  /// Once an epoch has delivered its floods, entries inside the ball are
+  /// provably fresh (header comment), so the walk follows real edges only
+  /// and every in-ball list is present; the strict callers REMSPAN_CHECK
+  /// that. Mid-epoch under loss a list may still be in flight: the walk
+  /// skips it, so `origins` is then a subset of the real ball.
+  [[nodiscard]] BallWalk walk_ball() const {
+    BallWalk out;
     std::map<NodeId, Dist> dist;
     dist.emplace(self_, 0);
     std::vector<NodeId> frontier{self_};
@@ -299,7 +276,10 @@ class ReconvergeProtocol final : public Protocol {
         const std::vector<NodeId>* nbrs = &neighbors_;
         if (w != self_) {
           const auto it = lists_.find(w);
-          if (it == lists_.end()) continue;  // still in flight
+          if (it == lists_.end()) {
+            out.missing_list = true;
+            continue;
+          }
           nbrs = &it->second;
         }
         for (const NodeId x : *nbrs) {
@@ -308,11 +288,22 @@ class ReconvergeProtocol final : public Protocol {
       }
       frontier = std::move(next);
     }
-    std::map<NodeId, std::vector<NodeId>> out;
+    out.origins.reserve(dist.size() - 1);
     for (const auto& entry : dist) {
-      if (entry.first == self_) continue;
-      const auto it = lists_.find(entry.first);
-      if (it != lists_.end()) out.emplace(entry.first, it->second);
+      if (entry.first != self_) out.origins.push_back(entry.first);
+    }
+    return out;  // std::map iteration: already sorted
+  }
+
+  /// The stored lists of the origins the walk reached. Once every ball
+  /// origin's final list landed this equals the strict pruned view, so the
+  /// last recompute reads exactly the lossless inputs (stale out-of-ball
+  /// leftovers are unreachable from the fresh sensed neighbors).
+  [[nodiscard]] std::map<NodeId, std::vector<NodeId>> tolerant_ball_lists() const {
+    std::map<NodeId, std::vector<NodeId>> out;
+    for (const NodeId v : walk_ball().origins) {
+      const auto it = lists_.find(v);
+      if (it != lists_.end()) out.emplace(v, it->second);
     }
     return out;
   }
@@ -323,10 +314,9 @@ class ReconvergeProtocol final : public Protocol {
   /// are still in flight, so a ball origin may legitimately have no tree
   /// entry yet (unlike in pruned_trees(), which reads converged state).
   void prune_to_ball() {
-    const std::vector<NodeId> ball = ball_origins();
     std::map<NodeId, std::vector<NodeId>> lists;
     std::map<NodeId, std::vector<Edge>> trees;
-    for (const NodeId v : ball) {
+    for (const NodeId v : walk_ball().origins) {
       const auto it = lists_.find(v);
       REMSPAN_CHECK(it != lists_.end());
       lists.emplace(v, std::move(it->second));

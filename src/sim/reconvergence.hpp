@@ -180,10 +180,12 @@ class ReconvergenceSim {
  public:
   /// Builds the network on `initial` and runs the initial convergence
   /// (every node advertises from a cold start; cost in initial_stats()).
-  /// A faulty `faults.link` attaches a LinkModel to the channel and switches
-  /// every node to the reliable protocol variant (retransmission + backoff +
-  /// quiescence detection); the default FaultConfig keeps the lossless
-  /// one-shot schedule bit-identical to the pre-fault-layer driver.
+  /// This initial epoch is Algorithm RemSpan's one-shot run:
+  /// run_remspan_distributed is a thin function over it. A faulty
+  /// `faults.link` attaches a LinkModel to the channel and switches every
+  /// node to the reliable protocol variant (retransmission + backoff +
+  /// confirmed quiescence detection); the default FaultConfig runs the
+  /// paper's exact lossless schedule.
   ReconvergenceSim(const Graph& initial, const RemSpanConfig& config,
                    ReconvergeStrategy strategy, const FaultConfig& faults = {});
   ~ReconvergenceSim();

@@ -1,5 +1,4 @@
-// Algorithm RemSpan (paper Section 2.3) as a node program on the
-// synchronous simulator:
+// Algorithm RemSpan (paper Section 2.3) on the synchronous simulator:
 //
 //   round 1                  : HELLO broadcast (neighbor discovery)
 //   rounds 2 .. 1+scope      : flood own neighbor list to B(u, scope)
@@ -11,21 +10,23 @@
 // as derived in the paper. Each node computes its tree from nothing but the
 // neighbor lists it actually received — the tests assert the distributed
 // union equals the centralized construction edge-for-edge.
+//
+// This header holds the protocol's configuration, the node-local tree
+// computation and the one-shot run. The node program itself is the epoch
+// protocol of ReconvergenceSim (reconvergence.hpp): a one-shot run is that
+// driver's initial epoch, in which every node advertises from a cold start.
 #pragma once
 
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "core/dominating_tree.hpp"
-#include "sim/flooding.hpp"
 #include "sim/link_model.hpp"
 #include "sim/network.hpp"
 
 namespace remspan {
 
-/// Message types of the advertise/compute/flood pipeline, shared by
-/// RemSpanProtocol and the churn-driven ReconvergenceSim protocols.
+/// Message types of the advertise/compute/flood pipeline.
 inline constexpr std::uint32_t kMsgHello = 1;         ///< neighbor discovery, empty payload
 inline constexpr std::uint32_t kMsgNeighborList = 2;  ///< origin's sorted neighbor list
 inline constexpr std::uint32_t kMsgTree = 3;          ///< origin's tree edges as (u,v) pairs
@@ -101,101 +102,18 @@ struct RemSpanConfig {
     const RemSpanConfig& config, NodeId self, const std::vector<NodeId>& neighbors,
     const std::map<NodeId, std::vector<NodeId>>& lists);
 
-/// Telemetry hook for the ack-less retransmission machinery, shared by
-/// RemSpanProtocol and the reconvergence epoch protocol: bumps the
+/// Telemetry hook for the node program's ack-less retransmission: bumps the
 /// sim.retransmissions counter, records the freshly scheduled backoff
 /// interval (backoff state occupancy), and drops an instant trace event on
 /// the node's simulator lane (ts = round number — deterministic, no wall
 /// clock). Costs one branch per sink when nothing is installed.
 void record_retransmit_obs(NodeId self, std::uint32_t round, std::uint32_t interval);
 
-class RemSpanProtocol : public Protocol {
- public:
-  /// With reliability disabled (the default) the node runs the paper's
-  /// exact one-shot schedule — bit-identical wire accounting to the
-  /// pre-fault-layer protocol. With reliability enabled it additionally
-  /// re-advertises HELLO + list + tree with capped exponential backoff,
-  /// version-prefixes the flood payloads, and recomputes its tree whenever
-  /// late input arrives, so it converges over a lossy LinkModel channel.
-  explicit RemSpanProtocol(const RemSpanConfig& config, const ReliabilityConfig& rel = {})
-      : config_(config), rel_(rel) {}
-
-  void on_round(NodeContext& ctx) override;
-  void on_message(NodeContext& ctx, const Message& msg) override;
-  /// Reliable nodes never self-declare done: an ack-less sender cannot know
-  /// its floods landed, so termination is the quiescence detector's call.
-  [[nodiscard]] bool done() const override { return rel_.enabled ? false : tree_flooded_; }
-  [[nodiscard]] std::uint64_t state_version() const override { return progress_; }
-
-  /// This node's dominating tree (global edge endpoints); valid once done().
-  [[nodiscard]] const std::vector<Edge>& tree_edges() const { return tree_edges_; }
-
-  /// Every tree edge this node has heard about (its own plus received
-  /// TREE floods) — the node-local view of the spanner.
-  [[nodiscard]] const std::vector<Edge>& heard_tree_edges() const { return heard_edges_; }
-
-  /// Neighbor lists this node accumulated (origin -> list); exposed for the
-  /// locality tests.
-  [[nodiscard]] const std::map<NodeId, std::vector<NodeId>>& topology_knowledge() const {
-    return topology_;
-  }
-
-  // Read-only hooks for the driver's completeness oracle (reliable mode;
-  // see run_remspan_distributed and reconvergence.hpp proof-sketch step 4).
-  /// True once nothing is scheduled locally: the tree is computed and no
-  /// re-advertisement or recompute is pending over the inputs so far.
-  [[nodiscard]] bool settled() const noexcept {
-    return tree_computed_ && !recompute_needed_ && !list_dirty_;
-  }
-  /// The neighbor set accumulated from HELLOs, sorted ascending (valid
-  /// from local round 2 on).
-  [[nodiscard]] const std::vector<NodeId>& sensed_neighbors() const noexcept {
-    return neighbors_;
-  }
-  /// Latest accepted tree per origin (reliable mode backing of
-  /// heard_tree_edges()).
-  [[nodiscard]] const std::map<NodeId, std::vector<Edge>>& heard_trees() const noexcept {
-    return heard_trees_;
-  }
-
- private:
-  void compute_tree(NodeContext& ctx);
-  void flood_payload_and_finish(NodeContext& ctx);
-  // Reliable-mode helpers (rel_.enabled only).
-  void send_hello(NodeContext& ctx);
-  void advertise_list(NodeContext& ctx);
-  void flood_tree(NodeContext& ctx);
-  void rebuild_heard_edges();
-
-  RemSpanConfig config_;
-  ReliabilityConfig rel_;
-  FloodManager flood_;
-  std::vector<NodeId> neighbors_;                     // from HELLO
-  std::map<NodeId, std::vector<NodeId>> topology_;    // origin -> its neighbors
-  std::vector<Edge> tree_edges_;
-  std::vector<Edge> heard_edges_;
-  std::uint32_t local_round_ = 0;
-  bool tree_computed_ = false;
-  bool tree_flooded_ = false;
-  // Reliable mode only: progress counter for the quiescence detector,
-  // content versions of the own streams, accepted version per origin and
-  // stream (monotone acceptance makes delayed reordered copies harmless),
-  // per-origin trees backing heard_edges_, and the retransmission clock.
-  std::uint64_t progress_ = 0;
-  std::uint32_t list_version_ = 0;
-  std::uint32_t tree_version_ = 0;
-  bool list_dirty_ = false;       // content changed since last advertisement
-  bool recompute_needed_ = false; // tree inputs changed since last compute
-  std::map<NodeId, std::uint32_t> list_rx_version_;
-  std::map<NodeId, std::uint32_t> tree_rx_version_;
-  std::map<NodeId, std::vector<Edge>> heard_trees_;
-  std::uint32_t retransmit_interval_ = 0;
-  std::uint32_t next_retransmit_ = 0;
-  std::uint32_t resend_count_ = 0;  // feeds the per-node emission jitter
-};
-
 /// Runs the protocol on g and returns the union of all computed trees as an
-/// EdgeSet of g, plus the stats of the run.
+/// EdgeSet of g, plus the stats of the run. This is the initial epoch of a
+/// ReconvergenceSim on g (strategy kIncremental): its rounds and wire
+/// accounting, and the union of its nodes' trees. The run emits the
+/// driver's sim.initial_convergence span.
 struct DistributedRunResult {
   EdgeSet spanner;
   NetworkStats stats;
@@ -207,7 +125,9 @@ struct DistributedRunResult {
 /// As above, but over a faulted channel: attaches a LinkModel built from
 /// `faults.link` and, whenever the channel is faulty (or reliability was
 /// requested explicitly), runs the reliable protocol variant until the
-/// quiescence detector fires. For a faultless default FaultConfig this is
+/// confirmed quiescence detector fires. Link sensing is driver-side, as in
+/// every ReconvergenceSim epoch: HELLOs are sent and accounted once, never
+/// retransmitted. For a faultless default FaultConfig this is
 /// byte-identical to the two-argument overload. The convergence-under-loss
 /// contract (reconvergence.hpp) applies: for any loss rate < 1 the returned
 /// spanner equals the lossless run's spanner edge-for-edge.

@@ -1,4 +1,4 @@
-// R7 fixture: a raw wall-clock read outside util/timer.hpp and src/obs.
+// R7 fixture: a raw wall-clock read outside src/obs.
 // Banned everywhere else, so no treat-as directive is needed.
 #include <chrono>
 

@@ -8,7 +8,7 @@
 #include "geom/synthetic.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/disjoint_paths.hpp"
-#include "sim/remspan_protocol.hpp"
+#include "sim/reconvergence.hpp"
 #include "sim/routing.hpp"
 #include "util/rng.hpp"
 
@@ -123,22 +123,30 @@ TEST(NodeFailure, TwoConnectingSpannerSurvivesAnySingleRelay) {
 }
 
 TEST(TopologyChange, ProtocolConvergesOnNewGraphAfterSwap) {
-  // Start the protocol on g1, swap to g2 mid-flight (dropping in-flight
-  // messages), then run fresh protocol instances: the advertised spanner
-  // must match the centralized construction for g2 — the paper's
-  // "stabilizes after T + 2F" periodic-refresh behaviour.
+  // Converge the protocol on g1, then feed the whole g1 -> g2 edge delta as
+  // one batch: under either strategy the advertised spanner must match the
+  // centralized construction for g2.
   const Graph g1 = cycle_graph(16);
   Rng rng(915);
   const Graph g2 = connected_gnp(16, 0.3, rng);
+  std::vector<GraphEvent> swap;
+  for (const Edge& e : g1.edges()) {
+    if (!g2.has_edge(e.u, e.v)) swap.push_back(GraphEvent::edge_down(e.u, e.v));
+  }
+  for (const Edge& e : g2.edges()) {
+    if (!g1.has_edge(e.u, e.v)) swap.push_back(GraphEvent::edge_up(e.u, e.v));
+  }
+  ASSERT_FALSE(swap.empty());
   RemSpanConfig cfg;
   cfg.kind = RemSpanConfig::Kind::kKConnGreedy;
   cfg.k = 1;
-  Network net(g1, [&cfg](NodeId) { return std::make_unique<RemSpanProtocol>(cfg); });
-  net.run(1);  // partial run on the old topology
-  net.change_topology(g2);
-  // Periodic refresh = fresh protocol round on the new topology.
-  const auto rerun = run_remspan_distributed(g2, cfg);
-  EXPECT_EQ(rerun.spanner, build_k_connecting_spanner(g2, 1));
+  const EdgeSet expected = build_k_connecting_spanner(g2, 1);
+  for (const auto strategy : {ReconvergeStrategy::kIncremental, ReconvergeStrategy::kFullReflood}) {
+    ReconvergenceSim sim(g1, cfg, strategy);
+    sim.apply_batch(swap);
+    ASSERT_EQ(sim.graph().num_edges(), g2.num_edges()) << strategy_name(strategy);
+    EXPECT_EQ(sim.spanner().edge_list(), expected.edge_list()) << strategy_name(strategy);
+  }
 }
 
 TEST(Routing, SurvivesPartialSpannerGracefully) {

@@ -243,7 +243,7 @@ TEST(ReconvergenceLoss, LossCostsRoundsNotCorrectness) {
 
 TEST(ReconvergenceLoss, DistributedRunUnderLossMatchesLosslessSpanner) {
   // The one-shot driver (run_remspan_distributed) under faults: the
-  // reliable RemSpanProtocol variant must union to the identical spanner.
+  // reliable variant of the node program must union to the identical spanner.
   Rng rng(39);
   const Graph g = connected_gnp(42, 0.14, rng);
   for (const RemSpanConfig& cfg : {make_config(RemSpanConfig::Kind::kKConnGreedy),

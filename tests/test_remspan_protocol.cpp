@@ -7,6 +7,7 @@
 #include "geom/ball_graph.hpp"
 #include "geom/synthetic.hpp"
 #include "graph/connectivity.hpp"
+#include "sim/reconvergence.hpp"
 #include "sim/remspan_protocol.hpp"
 #include "util/rng.hpp"
 
@@ -106,6 +107,51 @@ TEST(RemSpanProtocol, RoundCountMatchesPaperFormula) {
   }
 }
 
+TEST(RemSpanProtocol, OneShotLosslessAccountingPinned) {
+  // Exact wire accounting of the lossless one-shot run on one fixed paper
+  // UDG (Poisson points in a fixed square, unit disks, largest component)
+  // for every protocol kind: rounds, transmissions, receptions, payload
+  // words and spanner size are deterministic, so any change to the node
+  // program's schedule or payload format shows up here as a number.
+  Rng rng(4242);
+  const Graph g = largest_component(random_unit_disk_graph(6.0, 150.0, rng).graph);
+  ASSERT_EQ(g.num_nodes(), 150u);
+  struct Pinned {
+    RemSpanConfig::Kind kind;
+    Dist r, beta, k;
+    std::uint32_t rounds;
+    std::uint64_t transmissions, receptions, payload_words;
+    std::size_t spanner_edges;
+  };
+  // Measured on the lossless one-shot schedule (HELLO, list flood, tree
+  // flood).
+  const std::vector<Pinned> pinned = {
+      {RemSpanConfig::Kind::kKConnGreedy, 2, 1, 1, 3, 450, 4692, 2506, 372},
+      {RemSpanConfig::Kind::kKConnGreedy, 2, 1, 2, 3, 450, 4692, 3214, 568},
+      {RemSpanConfig::Kind::kKConnMis, 2, 1, 2, 5, 3578, 40620, 56884, 627},
+      {RemSpanConfig::Kind::kLowStretchGreedy, 3, 1, 1, 7, 7774, 85290, 119633, 409},
+      {RemSpanConfig::Kind::kLowStretchMis, 3, 1, 1, 7, 7774, 85290, 135599, 427},
+      {RemSpanConfig::Kind::kOlsrMpr, 2, 1, 1, 3, 450, 4692, 2498, 382},
+  };
+  for (const Pinned& p : pinned) {
+    RemSpanConfig cfg;
+    cfg.kind = p.kind;
+    cfg.r = p.r;
+    cfg.beta = p.beta;
+    cfg.k = p.k;
+    const auto run = run_remspan_distributed(g, cfg);
+    const std::string label = std::string(cfg.kind_name()) + " k=" + std::to_string(p.k);
+    EXPECT_EQ(run.rounds, p.rounds) << label;
+    EXPECT_EQ(run.rounds, cfg.expected_rounds()) << label;
+    EXPECT_EQ(run.stats.rounds, run.rounds) << label;
+    EXPECT_EQ(run.stats.transmissions, p.transmissions) << label;
+    EXPECT_EQ(run.stats.receptions, p.receptions) << label;
+    EXPECT_EQ(run.stats.payload_words, p.payload_words) << label;
+    EXPECT_EQ(run.stats.drops, 0u) << label;
+    EXPECT_EQ(run.spanner.size(), p.spanner_edges) << label;
+  }
+}
+
 TEST(RemSpanProtocol, TopologyKnowledgeIsLocal) {
   // With scope s, a node must only know neighbor lists of nodes within
   // distance s — the protocol is local, the paper's key selling point.
@@ -114,14 +160,12 @@ TEST(RemSpanProtocol, TopologyKnowledgeIsLocal) {
   cfg.kind = RemSpanConfig::Kind::kLowStretchGreedy;
   cfg.r = 3;
   cfg.beta = 1;  // scope 3
-  Network net(g, [&cfg](NodeId) { return std::make_unique<RemSpanProtocol>(cfg); });
-  net.run(cfg.expected_rounds() + 2);
-  const auto& p0 = dynamic_cast<const RemSpanProtocol&>(net.node(0));
-  for (const auto& [origin, list] : p0.topology_knowledge()) {
-    EXPECT_LE(origin, 3u);  // on a path, distance = id difference
-  }
-  // And it must know all of them (1..3; its own list comes from HELLOs).
-  EXPECT_EQ(p0.topology_knowledge().size(), 3u);
+  const ReconvergenceSim sim(g, cfg, ReconvergeStrategy::kIncremental);
+  // On a path, distance = id difference: node 0 holds exactly the lists of
+  // origins 1..3 (its own list comes from link sensing).
+  std::vector<NodeId> origins;
+  for (const auto& [origin, list] : sim.node_ball_lists(0)) origins.push_back(origin);
+  EXPECT_EQ(origins, (std::vector<NodeId>{1, 2, 3}));
 }
 
 TEST(RemSpanProtocol, MessageCountScalesWithScopeTimesN) {

@@ -74,8 +74,8 @@ constexpr RuleInfo kRules[] = {
      "cannot leak into output"},
     {"R7", "wall-clock-discipline",
      "raw std::chrono clock reads (steady_clock/system_clock/"
-     "high_resolution_clock ::now) are banned outside util/timer.hpp and "
-     "src/obs: wall time flows through Timer / obs::PhaseSpan, keeping it "
+     "high_resolution_clock ::now) are banned outside src/obs: wall time "
+     "flows through obs::Stopwatch / obs::PhaseSpan, keeping it "
      "out of every deterministic stream"},
 };
 
@@ -348,7 +348,7 @@ class FileLinter {
         break;
       }
     }
-    if (path_ != "src/util/timer.hpp" && !starts_with(path_, "src/obs/")) check_r7();
+    if (!starts_with(path_, "src/obs/")) check_r7();
   }
 
  private:
@@ -618,7 +618,7 @@ class FileLinter {
     }
   }
 
-  // --- R7: wall-clock reads only behind Timer / the obs layer ---
+  // --- R7: wall-clock reads only behind the obs layer ---
 
   void check_r7() {
     static const std::set<std::string> clocks = {"steady_clock", "system_clock",
@@ -628,7 +628,7 @@ class FileLinter {
       if (is_punct(i + 1, "::") && is_ident(i + 2, "now") && is_punct(i + 3, "(")) {
         flag("R7", toks_[i].line,
              "raw '" + toks_[i].text +
-                 "::now()' — wall-clock reads go through Timer or obs::PhaseSpan so "
+                 "::now()' — wall-clock reads go through obs::Stopwatch or obs::PhaseSpan so "
                  "measured time stays separated from every deterministic stream; or "
                  "annotate 'remspan-lint: allow(R7) <why this read is safe>'");
       }
