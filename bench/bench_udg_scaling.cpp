@@ -44,6 +44,7 @@ double peak_rss_bytes() {
 /// (BENCH_udg_scale.json) so the long-standing udg_scaling baseline keys
 /// stay untouched; CI's scale job diffs it against
 /// bench/baselines/BENCH_udg_scale.json with every count exact and
+/// generate_seconds (points, unit disk graph, largest component) and
 /// build_seconds one-sided at zero slack.
 int run_scale(std::uint64_t n, std::uint64_t seed) {
   Report report("udg_scale");
@@ -57,11 +58,13 @@ int run_scale(std::uint64_t n, std::uint64_t seed) {
   const double side = std::sqrt(static_cast<double>(n) * 3.14159265358979323846 / 10.0);
   obs::Stopwatch gen_timer;
   const Graph g = paper_udg(side, static_cast<double>(n), seed);
+  const double generate_seconds = gen_timer.seconds();
   std::cout << "workload: mean n = " << n << ", side = " << format_double(side, 1)
             << " -> largest component n = " << g.num_nodes() << ", m = " << g.num_edges()
-            << " (" << format_double(gen_timer.seconds(), 1) << " s to generate)\n";
+            << " (" << format_double(generate_seconds, 1) << " s to generate)\n";
   report.value("nodes", g.num_nodes());
   report.value("edges", g.num_edges());
+  report.value("generate_seconds", generate_seconds);
 
   const api::SpannerSpec spec = api::parse_spanner_spec("th2?k=1");
   SpannerBuildInfo info;

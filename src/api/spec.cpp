@@ -1,5 +1,6 @@
 #include "api/spec.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -70,6 +71,12 @@ std::uint64_t parse_uint_value(const Param& p) {
 
 [[noreturn]] void unknown_key(const std::string& kind, const Param& p) {
   throw SpecError("unknown parameter '" + p.key + "' for '" + kind + "'");
+}
+
+/// A udg square must have a positive, finite side: at side <= 0 every point
+/// lands on one spot and the generator would emit a complete graph.
+void check_udg_side(double side) {
+  if (!(std::isfinite(side) && side > 0.0)) throw SpecError("parameter 'side': must be > 0");
 }
 
 }  // namespace
@@ -430,6 +437,7 @@ GraphSpec parse_graph_spec(const std::string& text) {
   if (spec.kind != GraphSpec::Kind::kFile && spec.n < 1) {
     throw SpecError("parameter 'n': must be >= 1");
   }
+  if (spec.kind == GraphSpec::Kind::kUdg) check_udg_side(spec.side);
   return spec;
 }
 
@@ -438,6 +446,7 @@ Graph build_graph(const GraphSpec& spec, Rng* rng) {
   Rng& r = rng != nullptr ? *rng : local;
   switch (spec.kind) {
     case GraphSpec::Kind::kUdg: {
+      check_udg_side(spec.side);  // specs built in code skip parse_graph_spec
       const auto gg = uniform_unit_ball_graph(spec.n, spec.side, 2, r);
       return largest_component(gg.graph);
     }

@@ -1,6 +1,12 @@
 // Unit ball graph construction: nodes = points, edge iff metric distance
 // <= radius. Grid bucketing keeps construction near-linear in the output
-// size even for the dense fixed-square Poisson instances of Section 3.2.
+// size even for the dense fixed-square Poisson instances of Section 3.2:
+// point ids are ordered by cell (cells of side radius), so each cell is a
+// contiguous run; each cell's 3^dim neighbor cells are resolved once; and
+// blocks of that order are swept on the global thread pool, twice: once to
+// count each point a's partners b > a, once to write them, sorted, into
+// a's slice of the canonical edge list. No hashing, no per-lookup
+// allocation, no edge sort; the output is the same for any thread count.
 #pragma once
 
 #include "geom/points.hpp"
@@ -22,7 +28,10 @@ struct GeometricGraph {
   }
 };
 
-/// Builds the unit ball graph of the given point cloud.
+/// Builds the unit ball graph of the given point cloud. Every coordinate
+/// must be finite with |x / radius| < 2^52 (cell coordinates stay exact
+/// integers); a violation throws CheckError. Publishes the
+/// `geom.pair_tests` counter when a metrics sink is installed.
 [[nodiscard]] GeometricGraph unit_ball_graph(PointSet points, MetricKind metric = MetricKind::L2,
                                              double radius = 1.0);
 

@@ -1,25 +1,33 @@
 #include "graph/connectivity.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
-#include "graph/bfs.hpp"
 #include "graph/disjoint_paths.hpp"
 
 namespace remspan {
 
 namespace {
 
+/// Plain label-only BFS from every unlabeled node: the component array is
+/// the visited set, and the queue is the only other state.
 template <NeighborView View>
 Components components_of(const View& view) {
   const NodeId n = view.num_nodes();
   Components comps;
   comps.component.assign(n, kInvalidNode);
-  BoundedBfs bfs(n);
+  std::vector<NodeId> queue;
   for (NodeId start = 0; start < n; ++start) {
     if (comps.component[start] != kInvalidNode) continue;
-    bfs.run(view, start);
-    for (const NodeId v : bfs.order()) comps.component[v] = comps.count;
+    comps.component[start] = comps.count;
+    queue.assign(1, start);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      view.for_each_neighbor(queue[head], [&](NodeId v) {
+        if (comps.component[v] == kInvalidNode) {
+          comps.component[v] = comps.count;
+          queue.push_back(v);
+        }
+      });
+    }
     ++comps.count;
   }
   return comps;
@@ -55,21 +63,24 @@ Graph largest_component(const Graph& g) {
 }
 
 InducedSubgraph induced_subgraph(const Graph& g, const std::vector<NodeId>& keep) {
-  std::unordered_map<NodeId, NodeId> remap;
-  remap.reserve(keep.size());
+  // keep is sorted, so old -> new is monotone: the kept edges of the
+  // canonical list come out canonical with no re-sort.
+  std::vector<NodeId> remap(g.num_nodes(), kInvalidNode);
   for (NodeId i = 0; i < keep.size(); ++i) {
     REMSPAN_CHECK(i == 0 || keep[i - 1] < keep[i]);  // sorted & unique
-    remap.emplace(keep[i], i);
+    REMSPAN_CHECK(keep[i] < g.num_nodes());
+    remap[keep[i]] = i;
   }
-  GraphBuilder builder(static_cast<NodeId>(keep.size()));
+  std::vector<Edge> edges;
+  edges.reserve(g.num_edges());
   for (const Edge& e : g.edges()) {
-    const auto iu = remap.find(e.u);
-    const auto iv = remap.find(e.v);
-    if (iu != remap.end() && iv != remap.end()) {
-      builder.add_edge(iu->second, iv->second);
+    if (remap[e.u] != kInvalidNode && remap[e.v] != kInvalidNode) {
+      edges.push_back(Edge{remap[e.u], remap[e.v]});
     }
   }
-  return InducedSubgraph{builder.build(), keep};
+  return InducedSubgraph{Graph::from_canonical_edges(static_cast<NodeId>(keep.size()),
+                                                     std::move(edges)),
+                         keep};
 }
 
 Dist vertex_connectivity(const Graph& g, NodeId s, NodeId t, Dist cap) {

@@ -31,9 +31,10 @@ struct Components {
 [[nodiscard]] bool is_connected(const Graph& g);
 
 /// Restriction of g to the given nodes, with node ids remapped to
-/// 0..keep.size()-1 (keep must be sorted, unique). Returns the graph and the
-/// old-id of every new node. Used to run experiments on the largest
-/// component of random geometric graphs.
+/// 0..keep.size()-1 (keep must be sorted, unique, and name nodes of g).
+/// Returns the graph and the old-id of every new node. The remap is
+/// monotone, so g's canonical edge order carries over without a sort. Used
+/// to run experiments on the largest component of random geometric graphs.
 struct InducedSubgraph {
   Graph graph;
   std::vector<NodeId> original_id;

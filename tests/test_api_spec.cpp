@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 #include "api/registry.hpp"
 #include "api/spec.hpp"
@@ -121,6 +122,25 @@ TEST(ApiSpec, BadSpecsThrowWithTheOffendingTokenNamed) {
   } catch (const api::SpecError& e) {
     EXPECT_NE(std::string(e.what()).find("th9"), std::string::npos);
   }
+}
+
+TEST(ApiSpec, UdgSideMustBePositiveAndFinite) {
+  // A side <= 0 once put every point on one spot and built a complete graph.
+  for (const char* text : {"udg?n=50&side=0", "udg?n=50&side=-3", "udg?side=-0"}) {
+    try {
+      (void)api::parse_graph_spec(text);
+      ADD_FAILURE() << text << " should be rejected";
+    } catch (const api::SpecError& e) {
+      EXPECT_STREQ(e.what(), "parameter 'side': must be > 0") << text;
+    }
+  }
+  // Specs built in code (the CLI's --side) are checked when built.
+  for (const double side : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW((void)api::build_graph(api::GraphSpec::udg(50, side)), api::SpecError) << side;
+  }
+  EXPECT_EQ(api::parse_graph_spec("udg?n=50&side=0.5").side, 0.5);
+  EXPECT_GT(api::build_graph(api::GraphSpec::udg(50, 0.5)).num_nodes(), 0u);
 }
 
 TEST(ApiSpec, BuildGraphMatchesGeneratorsAndReadsFiles) {

@@ -1,6 +1,10 @@
 // Components, induced subgraphs and pairwise vertex connectivity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "geom/synthetic.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/disjoint_paths.hpp"
@@ -83,6 +87,24 @@ TEST(Connectivity, LargestComponentExtraction) {
   const auto sub = induced_subgraph(g, keep);
   EXPECT_TRUE(is_connected(sub.graph));
   EXPECT_EQ(sub.graph.num_nodes(), keep.size());
+}
+
+TEST(Connectivity, InducedSubgraphRemapsAndValidatesKeep) {
+  // Path 0-1-2-3-4 plus the chord 1-3; keeping {1, 3, 4} maps 1->0, 3->1,
+  // 4->2 and keeps exactly the edges among them.
+  GraphBuilder b(5);
+  for (const auto& [u, v] : {std::pair{0, 1}, {1, 2}, {2, 3}, {3, 4}, {1, 3}}) {
+    b.add_edge(static_cast<NodeId>(u), static_cast<NodeId>(v));
+  }
+  const Graph g = b.build();
+  const auto sub = induced_subgraph(g, {1, 3, 4});
+  const std::vector<Edge> want{{0, 1}, {1, 2}};
+  EXPECT_TRUE(std::equal(sub.graph.edges().begin(), sub.graph.edges().end(), want.begin(),
+                         want.end()));
+  EXPECT_EQ(sub.original_id, (std::vector<NodeId>{1, 3, 4}));
+  EXPECT_THROW((void)induced_subgraph(g, {3, 1}), CheckError);  // unsorted
+  EXPECT_THROW((void)induced_subgraph(g, {1, 1}), CheckError);  // duplicate
+  EXPECT_THROW((void)induced_subgraph(g, {1, 5}), CheckError);  // not a node of g
 }
 
 }  // namespace

@@ -92,6 +92,7 @@ INSTANTIATE_TEST_SUITE_P(
         FixtureCase{"r4_assert.cpp", "[R4 no-assert]"},
         FixtureCase{"r5_random_device.cpp", "[R5 determinism]"},
         FixtureCase{"r6_unordered_iteration.cpp", "[R6 unordered-iteration-annotation]"},
+        FixtureCase{"r6_geom_unordered_iteration.cpp", "[R6 unordered-iteration-annotation]"},
         FixtureCase{"r7_raw_clock.cpp", "[R7 wall-clock-discipline]"}),
     [](const ::testing::TestParamInfo<FixtureCase>& info) {
       std::string name = info.param.fixture;

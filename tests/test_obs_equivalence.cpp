@@ -6,8 +6,10 @@
 // instrument influencing a result fails here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/remote_spanner.hpp"
@@ -41,6 +43,40 @@ TEST(ObsEquivalence, CentralizedBuildsBitIdenticalWithSinksOn) {
   EXPECT_GT(s.counters.at("union.builds"), 0u);
   EXPECT_GT(s.counters.at("domtree.builds"), 0u);
   EXPECT_GT(s.counters.at("bfs.runs"), 0u);
+}
+
+TEST(ObsEquivalence, GeneratorOutputBitIdenticalWithSinksOn) {
+  const auto generate = [] {
+    Rng rng(41);
+    return largest_component(random_unit_disk_graph(14.0, 900.0, rng));
+  };
+  const auto same = [](const GeometricGraph& a, const GeometricGraph& b) {
+    const auto ea = a.graph.edges();
+    const auto eb = b.graph.edges();
+    if (a.graph.num_nodes() != b.graph.num_nodes() || a.points.size() != b.points.size() ||
+        !std::equal(ea.begin(), ea.end(), eb.begin(), eb.end())) {
+      return false;
+    }
+    for (std::size_t i = 0; i < a.points.size(); ++i) {
+      const auto pa = a.points.point(i);
+      const auto pb = b.points.point(i);
+      if (!std::equal(pa.begin(), pa.end(), pb.begin(), pb.end())) return false;
+    }
+    return true;
+  };
+  const GeometricGraph plain = generate();
+
+  obs::Registry reg;
+  obs::TraceBuffer buf;
+  const obs::ScopedSinks sinks(&reg, &buf);
+  EXPECT_TRUE(same(generate(), plain));
+  const obs::Snapshot s = reg.snapshot();
+  EXPECT_GT(s.counters.at("geom.pair_tests"), plain.graph.num_edges());
+  std::vector<std::string> spans;
+  for (const obs::TraceEvent& e : buf.events()) {
+    if (e.ph == obs::kPhaseBegin) spans.emplace_back(e.name);
+  }
+  EXPECT_EQ(spans, (std::vector<std::string>{"geom.unit_ball_graph", "geom.largest_component"}));
 }
 
 TEST(ObsEquivalence, IncrementalBatchesBitIdenticalWithSinksOn) {

@@ -69,7 +69,7 @@ constexpr RuleInfo kRules[] = {
      "everywhere: all randomness flows from an explicitly seeded Rng"},
     {"R6", "unordered-iteration-annotation",
      "iterating an unordered container inside the bit-exact subsystems "
-     "(src/{core,graph,dynamic,baseline,sim}) requires an inline "
+     "(src/{core,graph,geom,dynamic,baseline,sim}) requires an inline "
      "'remspan-lint: allow(R6)' justification stating why iteration order "
      "cannot leak into output"},
     {"R7", "wall-clock-discipline",
@@ -341,8 +341,8 @@ class FileLinter {
     if (path_ != "src/util/options.cpp") check_r3();
     if (starts_with(path_, "src/") || starts_with(path_, "include/")) check_r4();
     check_r5();
-    for (const char* sub : {"src/core/", "src/graph/", "src/dynamic/", "src/baseline/",
-                            "src/sim/"}) {
+    for (const char* sub : {"src/core/", "src/graph/", "src/geom/", "src/dynamic/",
+                            "src/baseline/", "src/sim/"}) {
       if (starts_with(path_, sub)) {
         check_r6();
         break;
