@@ -92,12 +92,22 @@ INSTANTIATE_TEST_SUITE_P(
         FixtureCase{"r4_assert.cpp", "[R4 no-assert]"},
         FixtureCase{"r5_random_device.cpp", "[R5 determinism]"},
         FixtureCase{"r6_unordered_iteration.cpp", "[R6 unordered-iteration-annotation]"},
-        FixtureCase{"r6_geom_unordered_iteration.cpp", "[R6 unordered-iteration-annotation]"},
         FixtureCase{"r7_raw_clock.cpp", "[R7 wall-clock-discipline]"}),
     [](const ::testing::TestParamInfo<FixtureCase>& info) {
       std::string name = info.param.fixture;
       return name.substr(0, name.find('.'));
     });
+
+// R6's scope also covers src/geom/; this fixture maps itself there. It is
+// a plain TEST rather than a KnownViolations case: ctest names those cases
+// with their parameter's raw bytes (string-literal addresses), so a new
+// literal in that list shifts the others and renames existing tests.
+TEST(LintTool, GeomUnorderedIterationFixtureTripsR6) {
+  const LintRun run = run_on_fixture("r6_geom_unordered_iteration.cpp");
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_NE(run.output.find("[R6 unordered-iteration-annotation]"), std::string::npos)
+      << run.output;
+}
 
 TEST(LintTool, JustifiedAllowSuppresses) {
   const LintRun run = run_on_fixture("r6_suppressed.cpp");
