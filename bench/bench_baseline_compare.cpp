@@ -32,7 +32,7 @@ void compare_on(const std::string& label, const Graph& g, std::uint64_t seed,
     EdgeSet h;
     // Protocol behind the construction, when one exists: the distributed
     // rounds/communication columns are measured by actually running it.
-    std::optional<RemSpanConfig> protocol;
+    std::optional<TreeRule> protocol;
   };
   std::vector<Case> cases;
   for (const auto& [name, spec_text] :
@@ -49,8 +49,8 @@ void compare_on(const std::string& label, const Graph& g, std::uint64_t seed,
     const api::SpannerSpec spec = api::parse_spanner_spec(spec_text);
     api::SpannerResult res = api::build_spanner(g, spec, ctx);
     cases.push_back({name, std::move(res.edges),
-                     api::supports_protocol(spec)
-                         ? std::optional<RemSpanConfig>(api::protocol_config(spec))
+                     api::supports_incremental(spec)
+                         ? std::optional<TreeRule>(api::incremental_config(spec))
                          : std::nullopt});
   }
 

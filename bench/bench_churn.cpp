@@ -2,7 +2,7 @@
 // geometric network, the per-root locality of the remote-spanner
 // construction means a batch of link/mobility events only dirties the
 // roots within the dependency radius max(1, r+beta-1) of the touched
-// endpoints (IncrementalConfig::dirty_radius). Measured: per
+// endpoints (TreeRule::dirty_radius). Measured: per
 // churn scenario, the amortized incremental update cost per batch against
 // a from-scratch rebuild on the same snapshot, the dirty-root footprint,
 // and spanner quality over time — with the incremental result asserted
@@ -21,6 +21,7 @@
 #include "bench_common.hpp"
 #include "dynamic/churn_trace.hpp"
 #include "dynamic/incremental_spanner.hpp"
+#include "graph/locality_order.hpp"
 
 using namespace remspan;
 using namespace remspan::bench;
@@ -41,12 +42,12 @@ struct ScenarioResult {
 };
 
 ScenarioResult run_scenario(const std::string& name, const ChurnTrace& trace,
-                            const IncrementalConfig& cfg, std::size_t rebuild_every,
+                            const TreeRule& rule, std::size_t rebuild_every,
                             std::uint64_t seed) {
   ScenarioResult result;
   result.name = name;
   DynamicGraph dg(trace.initial_graph());
-  IncrementalSpanner inc(dg, cfg);
+  IncrementalSpanner inc(dg, rule);
 
   double sum_dirty = 0.0;
   double sum_spanner = 0.0;
@@ -60,7 +61,8 @@ ScenarioResult run_scenario(const std::string& name, const ChurnTrace& trace,
     sum_spanner += static_cast<double>(stats.spanner_edges);
     if ((b + 1) % rebuild_every == 0 || b + 1 == trace.batches.size()) {
       obs::PhaseSpan timer("bench.rebuild_check", "bench");
-      const EdgeSet scratch = cfg.build_full(inc.graph());
+      const EdgeSet scratch = union_of_trees(
+          inc.graph(), locality_root_order(inc.graph(), kLocalityCluster), rule);
       rebuild_total += timer.seconds();
       ++rebuilds;
       result.equivalent = result.equivalent && scratch == inc.spanner();
@@ -73,7 +75,7 @@ ScenarioResult run_scenario(const std::string& name, const ChurnTrace& trace,
   result.rebuild_seconds = rebuild_total / static_cast<double>(rebuilds);
   // Quality over time: the maintained spanner must still satisfy the
   // k-connecting stretch guarantee on the final (churned) snapshot.
-  const auto report = check_k_connecting_stretch(inc.graph(), inc.spanner(), cfg.k,
+  const auto report = check_k_connecting_stretch(inc.graph(), inc.spanner(), rule.k,
                                                  Stretch{1.0, 0.0}, 150, seed);
   result.stretch_ok = report.satisfied;
   return result;
@@ -119,7 +121,7 @@ int bench_main(int argc, char** argv) {
   report.value("nodes", g.num_nodes());
   report.value("initial_edges", m);
 
-  const IncrementalConfig cfg = api::incremental_config(api::SpannerSpec::th2(k));
+  const TreeRule rule = api::incremental_config(api::SpannerSpec::th2(k));
   const auto movers = static_cast<std::size_t>(
       std::max(1.0, std::round(target_edges / (2.0 * g.average_degree()))));
   // Both endpoints must fall inside the outage disk, which shaves roughly
@@ -130,13 +132,13 @@ int bench_main(int argc, char** argv) {
   const auto random_events = static_cast<std::size_t>(std::max(1.0, std::round(target_edges)));
 
   const ScenarioResult results[] = {
-      run_scenario("mobility", mobility_churn_trace(gg, batches, movers, 100 * seed + 1), cfg,
+      run_scenario("mobility", mobility_churn_trace(gg, batches, movers, 100 * seed + 1), rule,
                    rebuild_every, seed),
       run_scenario("outage", region_outage_trace(gg, batches / 2, region_radius, 100 * seed + 2),
-                   cfg, rebuild_every, seed),
+                   rule, rebuild_every, seed),
       run_scenario("random", random_edge_churn_trace(g, batches, random_events, 0.0,
                                                      100 * seed + 3),
-                   cfg, rebuild_every, seed),
+                   rule, rebuild_every, seed),
   };
 
   Table table({"scenario", "batches", "churn/batch", "dirty roots", "dirty %", "amortized ms",
@@ -167,7 +169,7 @@ int bench_main(int argc, char** argv) {
 
   std::cout << "\nlocality argument: a changed edge {a,b} only affects roots within the\n"
                "dependency radius max(1, r+beta-1) = "
-            << cfg.dirty_radius()
+            << rule.dirty_radius()
             << " hops of a or b (old snapshot for\n"
                "removals, new for insertions); mobility/outage churn is spatially\n"
                "concentrated, so the dirty set stays small — uniform random churn is\n"

@@ -11,7 +11,6 @@
 #include "obs/obs.hpp"
 #include "util/json_report.hpp"
 
-#include "baseline/mpr.hpp"
 #include "core/dominating_tree.hpp"
 #include "core/remote_spanner.hpp"
 #include "geom/ball_graph.hpp"
@@ -163,9 +162,10 @@ BENCHMARK(BM_SpannerUnion);
 
 void BM_OlsrMprNode(benchmark::State& state) {
   const Graph& g = shared_udg();
+  DomTreeBuilder builder(g);
   NodeId u = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(olsr_mpr_set(g, u).size());
+    benchmark::DoNotOptimize(builder.mpr(u).num_edges());
     u = (u + 1) % g.num_nodes();
   }
 }

@@ -40,36 +40,37 @@ int bench_main(int argc, char** argv) {
   Table table({"n", "construction", "scope", "rounds", "paper", "tx/node", "words/node"});
   for (std::uint64_t n = 200; n <= n_max; n *= 2) {
     const Graph g = paper_udg(side, static_cast<double>(n), 70 + n);
-    // Protocol configs come from the registry by spec (eps=.5 -> r=3,
+    // Tree rules come from the registry by spec (eps=.5 -> r=3,
     // eps=.25 -> r=5).
     struct Case {
       const char* name;
       const char* key;  // report-key suffix
-      RemSpanConfig cfg;
+      TreeRule rule;
     };
     const std::vector<Case> cases = {
         {"(1,0)-rem-span [Th.2 k=1]", "th2_k1",
-         api::protocol_config(api::parse_spanner_spec("th2?k=1"))},
+         api::incremental_config(api::parse_spanner_spec("th2?k=1"))},
         {"2-conn (2,-1) [Th.3]", "th3_k2",
-         api::protocol_config(api::parse_spanner_spec("th3?k=2"))},
-        {"OLSR MPR union [RFC 3626]", "mpr", api::protocol_config(api::parse_spanner_spec("mpr"))},
+         api::incremental_config(api::parse_spanner_spec("th3?k=2"))},
+        {"OLSR MPR union [RFC 3626]", "mpr",
+         api::incremental_config(api::parse_spanner_spec("mpr"))},
         {"(1.5,0)-rem-span [Th.1 eps=.5]", "th1_eps050",
-         api::protocol_config(api::parse_spanner_spec("th1?eps=0.5"))},
+         api::incremental_config(api::parse_spanner_spec("th1?eps=0.5"))},
         {"(1.25,.5)-rem-span [Th.1 eps=.25]", "th1_eps025",
-         api::protocol_config(api::parse_spanner_spec("th1?eps=0.25"))},
+         api::incremental_config(api::parse_spanner_spec("th1?eps=0.25"))},
     };
-    for (const auto& [name, key, cfg] : cases) {
-      const auto run = run_remspan_distributed(g, cfg);
+    for (const auto& [name, key, rule] : cases) {
+      const auto run = run_remspan_distributed(g, rule);
       totals[key].transmissions += run.stats.transmissions;
       totals[key].payload_words += run.stats.payload_words;
-      all_rounds_match = all_rounds_match && run.rounds == cfg.expected_rounds();
+      all_rounds_match = all_rounds_match && run.rounds == expected_rounds(rule);
       max_rounds = std::max<std::size_t>(max_rounds, run.rounds);
       max_tx_per_node = std::max(max_tx_per_node,
                                  static_cast<double>(run.stats.transmissions) /
                                      static_cast<double>(g.num_nodes()));
       table.add_row(
-          {std::to_string(g.num_nodes()), name, std::to_string(cfg.flood_scope()),
-           std::to_string(run.rounds), std::to_string(cfg.expected_rounds()),
+          {std::to_string(g.num_nodes()), name, std::to_string(rule.dirty_radius()),
+           std::to_string(run.rounds), std::to_string(expected_rounds(rule)),
            format_double(static_cast<double>(run.stats.transmissions) /
                              static_cast<double>(g.num_nodes()),
                          1),

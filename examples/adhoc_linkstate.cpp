@@ -38,12 +38,10 @@ int tool_main(int argc, char** argv) {
             << " avg_degree=" << format_double(g.average_degree(), 1) << "\n\n";
 
   // Distributed construction on the round simulator.
-  RemSpanConfig cfg;
-  cfg.kind = RemSpanConfig::Kind::kLowStretchMis;
-  cfg.r = domination_radius_for_eps(eps);
-  const auto run = run_remspan_distributed(g, cfg);
+  const TreeRule rule = TreeRule::low_stretch(eps, TreeAlgorithm::kMis);
+  const auto run = run_remspan_distributed(g, rule);
   std::cout << "RemSpan protocol: " << run.rounds << " rounds (paper: 2r-1+2b = "
-            << cfg.expected_rounds() << "), " << run.stats.transmissions
+            << expected_rounds(rule) << "), " << run.stats.transmissions
             << " transmissions, " << run.stats.payload_words << " payload words\n";
 
   // Steady-state comparison: link-state routing periodically floods its
@@ -66,7 +64,7 @@ int tool_main(int argc, char** argv) {
             << " of all links)\n\n";
 
   // Verify the stretch the protocol promises, then route.
-  const Stretch s = stretch_for_radius(cfg.r);
+  const Stretch s = stretch_for_radius(rule.r);
   const auto report = check_remote_stretch(g, run.spanner, s);
   std::cout << "stretch (" << format_double(s.alpha, 2) << "," << format_double(s.beta, 2)
             << "): " << (report.satisfied ? "verified over all pairs" : "VIOLATED")

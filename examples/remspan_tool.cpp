@@ -57,6 +57,7 @@
 #include "api/spec.hpp"
 #include "dynamic/churn_trace.hpp"
 #include "graph/graphio.hpp"
+#include "graph/locality_order.hpp"
 #include "obs/obs.hpp"
 #include "serve/service.hpp"
 #include "sim/reconvergence.hpp"
@@ -214,7 +215,7 @@ int run_churn_replay(const std::string& path, const api::SpannerSpec& spec,
   if (!load_trace(path, trace)) return 2;
 
   if (!api::supports_incremental(spec)) {
-    std::cerr << "--churn-trace supports --construction th1|th2|th3 (got " << construction
+    std::cerr << "--churn-trace supports --construction th1|th2|th3|mpr (got " << construction
               << ")\n";
     return 2;
   }
@@ -222,12 +223,12 @@ int run_churn_replay(const std::string& path, const api::SpannerSpec& spec,
   obs::PhaseSpan timer("tool.churn_replay", "tool");
   const auto session = api::open_incremental_session(trace.initial_graph(), spec);
   IncrementalSpanner& inc = session->engine();
-  const IncrementalConfig& cfg = inc.config();
+  const TreeRule& rule = inc.rule();
   const double init_s = timer.seconds();
   std::cout << "churn replay: " << path << "\n"
             << "initial graph: n=" << inc.graph().num_nodes() << " m="
-            << inc.graph().num_edges() << ", " << cfg.name() << " spanner built in "
-            << format_double(init_s, 3) << " s (dirty radius " << cfg.dirty_radius() << ")\n\n";
+            << inc.graph().num_edges() << ", " << rule.name() << " spanner built in "
+            << format_double(init_s, 3) << " s (dirty radius " << rule.dirty_radius() << ")\n\n";
 
   Table table({"batch", "events", "+edges", "-edges", "dirty roots", "rebuilt", "|H|", "ms"});
   double total_s = 0.0;
@@ -247,7 +248,8 @@ int run_churn_replay(const std::string& path, const api::SpannerSpec& spec,
             << " ms/batch)\n";
 
   timer.reset();
-  const EdgeSet scratch = cfg.build_full(inc.graph());
+  const EdgeSet scratch =
+      union_of_trees(inc.graph(), locality_root_order(inc.graph(), kLocalityCluster), rule);
   const bool exact = scratch == inc.spanner();
   std::cout << "final spanner: " << inc.spanner().size() << " edges; from-scratch rebuild "
             << format_double(timer.seconds(), 3) << " s; bit-exact: " << (exact ? "yes" : "NO")
@@ -274,12 +276,12 @@ int run_reconverge(const std::string& path, const api::SpannerSpec& spec,
   ChurnTrace trace;
   if (!load_trace(path, trace)) return 2;
 
-  if (!api::supports_protocol(spec)) {
+  if (!api::supports_incremental(spec)) {
     std::cerr << "--reconverge supports --construction th1|th2|th3|mpr (got " << construction
               << ")\n";
     return 2;
   }
-  const RemSpanConfig cfg = api::protocol_config(spec);
+  const TreeRule rule = api::incremental_config(spec);
 
   const Graph initial = trace.initial_graph();
   const auto inc =
@@ -289,7 +291,7 @@ int run_reconverge(const std::string& path, const api::SpannerSpec& spec,
   const auto& init = inc->initial_stats();
   std::cout << "protocol reconvergence replay: " << path << "\n"
             << "initial graph: n=" << initial.num_nodes() << " m=" << initial.num_edges()
-            << ", protocol " << cfg.kind_name() << " (scope " << cfg.flood_scope()
+            << ", protocol " << rule.name() << " (scope " << rule.dirty_radius()
             << "), cold start: " << init.rounds << " rounds, " << init.transmissions
             << " msgs, " << init.wire_bytes << " B\n";
   if (faults.faulty()) {
@@ -354,7 +356,7 @@ int run_serve_replay(const std::string& path, const api::SpannerSpec& spec,
   if (!load_trace(path, trace)) return 2;
 
   if (!api::supports_incremental(spec)) {
-    std::cerr << "--serve-replay supports --construction th1|th2|th3 (got " << construction
+    std::cerr << "--serve-replay supports --construction th1|th2|th3|mpr (got " << construction
               << ")\n";
     return 2;
   }

@@ -184,7 +184,7 @@ typedef struct remspan_batch_stats {
 
 /* Opens a session maintaining `spanner_spec` over a copy of `graph`'s
  * topology. REMSPAN_ERR_UNSUPPORTED when the construction has no
- * incremental engine (supported: th1, th2, th3). */
+ * incremental engine (supported: th1, th2, th3, mpr). */
 REMSPAN_API remspan_status_t remspan_session_open(const remspan_graph_t* graph,
                                                   const char* spanner_spec,
                                                   remspan_session_t** out_session);
@@ -249,7 +249,7 @@ REMSPAN_API remspan_status_t remspan_service_create(const remspan_service_config
 /* Opens a tenant maintaining `spanner_spec` over a copy of `graph`'s
  * topology and publishes its epoch-0 snapshot. REMSPAN_ERR_UNSUPPORTED for
  * constructions without incremental maintenance (supported: th1, th2,
- * th3); REMSPAN_ERR_INVALID_ARGUMENT at the tenant capacity limit. */
+ * th3, mpr); REMSPAN_ERR_INVALID_ARGUMENT at the tenant capacity limit. */
 REMSPAN_API remspan_status_t remspan_service_open_tenant(remspan_service_t* service,
                                                          const remspan_graph_t* graph,
                                                          const char* spanner_spec,

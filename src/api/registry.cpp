@@ -6,8 +6,6 @@
 #include "analysis/stretch_oracle.hpp"
 #include "baseline/baswana_sen.hpp"
 #include "baseline/greedy_spanner.hpp"
-#include "baseline/mpr.hpp"
-#include "core/params.hpp"
 #include "util/table.hpp"
 
 namespace remspan::api {
@@ -54,17 +52,7 @@ Construction make_th1() {
   c.verifier = [](const SpannerSpec& spec) {
     return remote_verifier(Stretch{1.0 + spec.eps, 1.0 - 2.0 * spec.eps});
   };
-  c.incremental = [](const SpannerSpec& spec) {
-    return IncrementalConfig::low_stretch(spec.eps, spec.tree);
-  };
-  c.protocol = [](const SpannerSpec& spec) {
-    RemSpanConfig cfg;
-    cfg.kind = spec.tree == TreeAlgorithm::kMis ? RemSpanConfig::Kind::kLowStretchMis
-                                                : RemSpanConfig::Kind::kLowStretchGreedy;
-    cfg.r = domination_radius_for_eps(spec.eps);
-    cfg.beta = 1;
-    return cfg;
-  };
+  c.rule = [](const SpannerSpec& spec) { return TreeRule::low_stretch(spec.eps, spec.tree); };
   return c;
 }
 
@@ -82,13 +70,7 @@ Construction make_th2() {
   c.verifier = [](const SpannerSpec& spec) {
     return kconn_verifier(spec.k, Stretch{1.0, 0.0});
   };
-  c.incremental = [](const SpannerSpec& spec) { return IncrementalConfig::k_connecting(spec.k); };
-  c.protocol = [](const SpannerSpec& spec) {
-    RemSpanConfig cfg;
-    cfg.kind = RemSpanConfig::Kind::kKConnGreedy;
-    cfg.k = spec.k;
-    return cfg;
-  };
+  c.rule = [](const SpannerSpec& spec) { return TreeRule::k_connecting(spec.k); };
   return c;
 }
 
@@ -104,13 +86,7 @@ Construction make_th3() {
   // Theorem 3's guarantee is stated for k' <= 2 regardless of the tree
   // parameter k (remspan_tool has always checked it at 2).
   c.verifier = [](const SpannerSpec&) { return kconn_verifier(2, Stretch{2.0, -1.0}); };
-  c.incremental = [](const SpannerSpec& spec) { return IncrementalConfig::two_connecting(spec.k); };
-  c.protocol = [](const SpannerSpec& spec) {
-    RemSpanConfig cfg;
-    cfg.kind = RemSpanConfig::Kind::kKConnMis;
-    cfg.k = spec.k;
-    return cfg;
-  };
+  c.rule = [](const SpannerSpec& spec) { return TreeRule::two_connecting(spec.k); };
   return c;
 }
 
@@ -118,17 +94,13 @@ Construction make_mpr() {
   Construction c;
   c.name = "mpr";
   c.summary = "OLSR multipoint-relay union (RFC 3626), (1,0)-remote-spanner";
-  c.build_edges = [](const Graph& g, const SpannerSpec&, const BuildContext&) {
-    return olsr_mpr_spanner(g);
+  c.build_edges = [](const Graph& g, const SpannerSpec&, const BuildContext& ctx) {
+    return olsr_mpr_spanner(g, ctx.info);
   };
   c.guarantee = [](const SpannerSpec&) { return Stretch{1.0, 0.0}; };
   c.guarantee_label = [](const SpannerSpec&) { return std::string("remote (1,0) via OLSR MPR"); };
   c.verifier = [](const SpannerSpec&) { return remote_verifier(Stretch{1.0, 0.0}); };
-  c.protocol = [](const SpannerSpec&) {
-    RemSpanConfig cfg;
-    cfg.kind = RemSpanConfig::Kind::kOlsrMpr;
-    return cfg;
-  };
+  c.rule = [](const SpannerSpec&) { return TreeRule::mpr(); };
   return c;
 }
 
@@ -258,28 +230,16 @@ VerifyFn make_verifier(const SpannerSpec& spec) {
   return entry.verifier == nullptr ? VerifyFn{} : entry.verifier(spec);
 }
 
-IncrementalConfig incremental_config(const SpannerSpec& spec) {
+TreeRule incremental_config(const SpannerSpec& spec) {
   const Construction& entry = ConstructionRegistry::global().at(spec);
-  if (entry.incremental == nullptr) {
+  if (entry.rule == nullptr) {
     throw SpecError("construction '" + entry.name + "' has no incremental maintenance support");
   }
-  return entry.incremental(spec);
-}
-
-RemSpanConfig protocol_config(const SpannerSpec& spec) {
-  const Construction& entry = ConstructionRegistry::global().at(spec);
-  if (entry.protocol == nullptr) {
-    throw SpecError("construction '" + entry.name + "' has no distributed protocol");
-  }
-  return entry.protocol(spec);
+  return entry.rule(spec);
 }
 
 bool supports_incremental(const SpannerSpec& spec) {
-  return ConstructionRegistry::global().at(spec).incremental != nullptr;
-}
-
-bool supports_protocol(const SpannerSpec& spec) {
-  return ConstructionRegistry::global().at(spec).protocol != nullptr;
+  return ConstructionRegistry::global().at(spec).rule != nullptr;
 }
 
 IncrementalSession::IncrementalSession(const Graph& initial, const SpannerSpec& spec)
@@ -296,7 +256,7 @@ std::unique_ptr<ReconvergenceSim> open_reconvergence_session(const Graph& initia
                                                              const SpannerSpec& spec,
                                                              ReconvergeStrategy strategy,
                                                              const FaultConfig& faults) {
-  return std::make_unique<ReconvergenceSim>(initial, protocol_config(spec), strategy, faults);
+  return std::make_unique<ReconvergenceSim>(initial, incremental_config(spec), strategy, faults);
 }
 
 }  // namespace remspan::api

@@ -3,9 +3,10 @@
 //
 // A SpannerSpec names a construction; the registry maps it to an entry that
 // knows how to (a) build the spanner with its paper guarantee and matching
-// exact-oracle verifier, (b) open an incremental-maintenance config for it
-// (src/dynamic), and (c) open a distributed-protocol config for it
-// (src/sim) — each capability optional per construction. The seven shipped
+// exact-oracle verifier, and (b) name its per-root TreeRule
+// (core/remote_spanner.hpp), which is all the incremental engine
+// (src/dynamic), the service (src/serve) and the distributed protocol
+// (src/sim) need — the rule is optional per construction. The seven shipped
 // constructions (th1, th2, th3, mpr, greedy, baswana, full) are registered
 // at startup; future constructions (weighted remote-spanners, CONGEST
 // comparators) plug in through register_construction and become reachable
@@ -74,8 +75,10 @@ struct SpannerResult {
 };
 
 /// One registered construction. `build_edges`, `guarantee` and
-/// `guarantee_label` are mandatory; `verifier`, `incremental` and
-/// `protocol` are null for constructions without the capability.
+/// `guarantee_label` are mandatory; `verifier` and `rule` are null for
+/// constructions without the capability (a construction with a rule is a
+/// union of per-root trees, so it gets incremental sessions, service
+/// tenants and protocol sessions at once).
 struct Construction {
   std::string name;     ///< registry key == SpannerSpec kind name
   std::string summary;  ///< one-line description (--help, docs)
@@ -83,8 +86,7 @@ struct Construction {
   std::function<Stretch(const SpannerSpec&)> guarantee;
   std::function<std::string(const SpannerSpec&)> guarantee_label;
   std::function<VerifyFn(const SpannerSpec&)> verifier;
-  std::function<IncrementalConfig(const SpannerSpec&)> incremental;
-  std::function<RemSpanConfig(const SpannerSpec&)> protocol;
+  std::function<TreeRule(const SpannerSpec&)> rule;
 };
 
 /// Name -> Construction map behind the facade. Thread-compatible: register
@@ -130,17 +132,13 @@ class ConstructionRegistry {
 /// has nothing to verify.
 [[nodiscard]] VerifyFn make_verifier(const SpannerSpec& spec);
 
-/// Maps a spec to its incremental-maintenance config; throws SpecError when
-/// the construction has no incremental support (mpr, greedy, baswana, full).
-[[nodiscard]] IncrementalConfig incremental_config(const SpannerSpec& spec);
+/// Maps a spec to its per-root TreeRule — the one spec -> rule facade the
+/// incremental engine, the service and the protocol sessions share; throws
+/// SpecError when the construction has no rule (greedy, baswana, full).
+[[nodiscard]] TreeRule incremental_config(const SpannerSpec& spec);
 
-/// Maps a spec to its distributed-protocol config; throws SpecError when the
-/// construction has no protocol (greedy, baswana, full).
-[[nodiscard]] RemSpanConfig protocol_config(const SpannerSpec& spec);
-
-/// True when the spec's construction supports the capability.
+/// True when the spec's construction has a TreeRule.
 [[nodiscard]] bool supports_incremental(const SpannerSpec& spec);
-[[nodiscard]] bool supports_protocol(const SpannerSpec& spec);
 
 /// An incremental-maintenance session: owns the evolving topology (seeded
 /// from `initial`) and the engine maintaining the spec's spanner over it —
@@ -185,7 +183,7 @@ class IncrementalSession {
     const Graph& initial, const SpannerSpec& spec);
 
 /// Opens a protocol-level reconvergence session for a spec; throws
-/// SpecError for constructions without a protocol. A faulty `faults.link`
+/// SpecError for constructions without a TreeRule. A faulty `faults.link`
 /// runs the session over a lossy/delaying channel with the reliable
 /// protocol variant (see reconvergence.hpp for the convergence-under-loss
 /// contract); the default keeps the lossless one-shot schedule.

@@ -300,6 +300,72 @@ RootedTree DomTreeBuilder::mis_k(NodeId u, Dist k) {
   return tree;
 }
 
+RootedTree DomTreeBuilder::mpr(NodeId u) {
+  RootedTree tree(u);
+  bfs_.run(GraphView(*g_), u, 2);
+
+  // N2 := strict two-hop neighborhood; in_s_ marks its still-uncovered
+  // nodes, in_x_ the picked relays, shell_sorted_ collects the picks.
+  const auto two_hop = bfs_.shell(2);
+  std::size_t uncovered = two_hop.size();
+  for (const NodeId v : two_hop) in_s_[v] = 1;
+  auto& picks = shell_sorted_;
+  picks.clear();
+
+  auto add_mpr = [&](NodeId x) {
+    in_x_[x] = 1;
+    picks.push_back(x);
+    for (const NodeId w : g_->neighbors(x)) {
+      if (in_s_[w] != 0) {
+        in_s_[w] = 0;
+        --uncovered;
+      }
+    }
+  };
+
+  // Step 1 (RFC): neighbors that are the only route to some 2-hop node.
+  for (const NodeId v : two_hop) {
+    NodeId sole = kInvalidNode;
+    int count = 0;
+    for (const NodeId w : g_->neighbors(v)) {
+      if (bfs_.dist(w) == 1) {
+        sole = w;
+        if (++count > 1) break;
+      }
+    }
+    if (count == 1 && in_x_[sole] == 0) add_mpr(sole);
+  }
+
+  // Step 2 (RFC): greedy by reachability (uncovered 2-hop nodes reached),
+  // ties by degree (higher first), then id.
+  while (uncovered > 0) {
+    NodeId best = kInvalidNode;
+    std::size_t best_reach = 0;
+    for (const NodeId x : g_->neighbors(u)) {
+      if (in_x_[x] != 0) continue;
+      std::size_t reach = 0;
+      for (const NodeId w : g_->neighbors(x)) reach += in_s_[w];
+      if (reach == 0) continue;
+      const bool better =
+          reach > best_reach ||
+          (reach == best_reach && (g_->degree(x) > g_->degree(best) ||
+                                   (g_->degree(x) == g_->degree(best) && x < best)));
+      if (best == kInvalidNode || better) {
+        best_reach = reach;
+        best = x;
+      }
+    }
+    REMSPAN_CHECK(best != kInvalidNode);
+    add_mpr(best);
+  }
+
+  std::sort(picks.begin(), picks.end());
+  for (const NodeId m : picks) tree.add_child(u, m, bfs_.parent_edge(m));
+  reset_flags();
+  publish_stats(tree);
+  return tree;
+}
+
 bool is_dominating_tree(const Graph& g, const RootedTree& tree, Dist r, Dist beta) {
   if (!tree_is_valid_subgraph(g, tree)) return false;
   const NodeId u = tree.root();

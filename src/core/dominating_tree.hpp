@@ -1,5 +1,6 @@
-// The paper's four dominating-tree algorithms (Sections 2.2 and 3.3), one
-// per-root builder each:
+// The paper's four dominating-tree algorithms (Sections 2.2 and 3.3) plus
+// the OLSR multipoint-relay heuristic (Section 1.2), one per-root builder
+// each:
 //
 //   greedy(u, r, beta)  — Algorithm 1, DomTreeGdy_{r,beta}: for each shell
 //       distance r' = 2..r, greedily set-covers the shell with balls of
@@ -14,8 +15,14 @@
 //   mis_k(u, k)         — Algorithm 5, DomTreeMIS_{2,1,k}: k rounds of MIS
 //       over the distance-2 shell, attaching each pick through fresh common
 //       neighbors; O(k^2) edges on doubling UBGs (Prop. 7).
+//   mpr(u)              — RFC 3626 Section 8.3.1 multipoint-relay selection:
+//       neighbors that are the sole route to some 2-hop node first, then
+//       greedy by reachability (ties: higher degree, then smaller id). The
+//       MPR star is a (2,0)-dominating tree, so the union of all stars is a
+//       (1,0)-remote-spanner — the independently derived baseline to compare
+//       against greedy_k(u, 1).
 //
-// All four attach nodes through BFS-parent chains of the same root BFS, so
+// All five attach nodes through BFS-parent chains of the same root BFS, so
 // each result is a genuine tree with d_T(u,x) = d_G(u,x).
 #pragma once
 
@@ -66,6 +73,10 @@ class DomTreeBuilder {
 
   /// Algorithm 5: k-connecting (2, 1)-dominating tree for u (k >= 1).
   [[nodiscard]] RootedTree mis_k(NodeId u, Dist k);
+
+  /// RFC 3626 MPR set of u (a subset of N(u) covering every strict 2-hop
+  /// neighbor) as a star rooted at u, MPRs attached in ascending id order.
+  [[nodiscard]] RootedTree mpr(NodeId u);
 
  private:
   /// Adds the BFS-parent chain from x up to the first node already in the
@@ -152,7 +163,7 @@ class DomTreeBuilder {
   // load instead of a per-neighbor adjacency search.
   std::vector<std::uint8_t> nbr_u_;
   // heap_: lazy max-heap over heap_key(cover, id);
-  // shell_sorted_: per-shell id-order scratch (mis, mis_k).
+  // shell_sorted_: per-shell id-order scratch (mis, mis_k; mpr's picks).
   std::vector<HeapEntry> heap_;
   std::vector<NodeId> shell_sorted_;
   // Bumped once per batch of removals from the cover target set S; heap

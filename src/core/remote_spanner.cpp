@@ -1,6 +1,8 @@
 #include "core/remote_spanner.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <source_location>
 #include <vector>
 
 #include "graph/locality_order.hpp"
@@ -9,6 +11,62 @@
 #include "util/thread_pool.hpp"
 
 namespace remspan {
+
+TreeRule TreeRule::r_beta(Dist r, Dist beta, TreeAlgorithm algo) {
+  REMSPAN_CHECK(r >= 2);
+  if (algo == TreeAlgorithm::kMis) REMSPAN_CHECK(beta == 1);  // Algorithm 2 is beta = 1
+  return TreeRule{algo == TreeAlgorithm::kMis ? Kind::kMis : Kind::kGreedy, r, beta, 1};
+}
+
+TreeRule TreeRule::low_stretch(double eps, TreeAlgorithm algo) {
+  return r_beta(domination_radius_for_eps(eps), 1, algo);
+}
+
+TreeRule TreeRule::k_connecting(Dist k) {
+  REMSPAN_CHECK(k >= 1);
+  return TreeRule{Kind::kGreedyK, 2, 0, k};
+}
+
+TreeRule TreeRule::two_connecting(Dist k) {
+  REMSPAN_CHECK(k >= 1);
+  return TreeRule{Kind::kMisK, 2, 1, k};
+}
+
+TreeRule TreeRule::mpr() { return TreeRule{Kind::kMpr, 2, 0, 1}; }
+
+RootedTree TreeRule::build(DomTreeBuilder& builder, NodeId root) const {
+  switch (kind) {
+    case Kind::kGreedy:
+      return builder.greedy(root, r, beta);
+    case Kind::kMis:
+      return builder.mis(root, r);
+    case Kind::kGreedyK:
+      return builder.greedy_k(root, k);
+    case Kind::kMisK:
+      return builder.mis_k(root, k);
+    case Kind::kMpr:
+      return builder.mpr(root);
+  }
+  detail::check_failed("unknown TreeRule::Kind", std::source_location::current());
+}
+
+Dist TreeRule::dirty_radius() const noexcept { return std::max<Dist>(1, r + beta - 1); }
+
+const char* TreeRule::name() const noexcept {
+  switch (kind) {
+    case Kind::kGreedy:
+      return "r-beta (greedy)";
+    case Kind::kMis:
+      return "r-beta (mis)";
+    case Kind::kGreedyK:
+      return "k-connecting (1,0)";
+    case Kind::kMisK:
+      return "k-connecting (2,1)";
+    case Kind::kMpr:
+      return "olsr-mpr";
+  }
+  return "?";
+}
 
 TreeUnionDriver::TreeUnionDriver(const Graph& g)
     : builders_(ThreadPool::global().concurrency()) {
@@ -19,12 +77,12 @@ void TreeUnionDriver::rebind(const Graph& g) {
   for (auto& b : builders_) b->rebind(g);
 }
 
-void TreeUnionDriver::run(std::span<const NodeId> roots, const TreeMaker& make_tree,
+void TreeUnionDriver::run(std::span<const NodeId> roots, const TreeRule& rule,
                           const TreeVisitor& visit) {
   ThreadPool::global().parallel_for_workers(
       0, roots.size(), [&](std::size_t i, std::size_t worker) {
         const NodeId root = roots[i];
-        visit(root, make_tree(*builders_[worker], root), worker);
+        visit(root, rule.build(*builders_[worker], root), worker);
       });
 }
 
@@ -40,7 +98,7 @@ void TreeUnionDriver::run(std::span<const NodeId> roots, const TreeMaker& make_t
 /// after the fork/join barrier of the driver's parallel loop, which orders
 /// every write before the read.
 EdgeSet union_of_trees(const Graph& g, std::span<const NodeId> roots,
-                       const TreeMaker& make_tree, SpannerBuildInfo* info) {
+                       const TreeRule& rule, SpannerBuildInfo* info) {
   obs::PhaseSpan span("core.union_of_trees");
   TreeUnionDriver driver(g);
   AtomicBitset shared(g.num_edges());
@@ -56,7 +114,7 @@ EdgeSet union_of_trees(const Graph& g, std::span<const NodeId> roots,
   std::atomic<std::uint64_t> cas_retries{0};
   const bool count_union = obs::metrics() != nullptr;
 
-  driver.run(roots, make_tree, [&](NodeId /*root*/, const RootedTree& tree, std::size_t worker) {
+  driver.run(roots, rule, [&](NodeId /*root*/, const RootedTree& tree, std::size_t worker) {
     auto& ids = edge_ids[worker];
     ids.clear();
     for (const NodeId v : tree.nodes()) {
@@ -102,44 +160,30 @@ EdgeSet union_of_trees(const Graph& g, std::span<const NodeId> roots,
   return spanner;
 }
 
-namespace {
-
-/// Every front-end's build: all roots, in locality order.
-EdgeSet union_over_all_roots(const Graph& g, const TreeMaker& make_tree,
-                             SpannerBuildInfo* info) {
-  return union_of_trees(g, locality_root_order(g, kLocalityCluster), make_tree, info);
-}
-
-}  // namespace
-
 EdgeSet build_remote_spanner(const Graph& g, Dist r, Dist beta, TreeAlgorithm algo,
                              SpannerBuildInfo* info) {
-  REMSPAN_CHECK(r >= 2);
-  if (algo == TreeAlgorithm::kMis) {
-    REMSPAN_CHECK(beta == 1);  // Algorithm 2 computes (r,1)-dominating trees
-    return union_over_all_roots(
-        g, [r](DomTreeBuilder& b, NodeId u) { return b.mis(u, r); }, info);
-  }
-  return union_over_all_roots(
-      g, [r, beta](DomTreeBuilder& b, NodeId u) { return b.greedy(u, r, beta); }, info);
+  return union_of_trees(g, locality_root_order(g, kLocalityCluster),
+                        TreeRule::r_beta(r, beta, algo), info);
 }
 
 EdgeSet build_low_stretch_remote_spanner(const Graph& g, double eps, TreeAlgorithm algo,
                                          SpannerBuildInfo* info) {
-  const Dist r = domination_radius_for_eps(eps);
-  return build_remote_spanner(g, r, 1, algo, info);
+  return union_of_trees(g, locality_root_order(g, kLocalityCluster),
+                        TreeRule::low_stretch(eps, algo), info);
 }
 
 EdgeSet build_k_connecting_spanner(const Graph& g, Dist k, SpannerBuildInfo* info) {
-  REMSPAN_CHECK(k >= 1);
-  return union_over_all_roots(
-      g, [k](DomTreeBuilder& b, NodeId u) { return b.greedy_k(u, k); }, info);
+  return union_of_trees(g, locality_root_order(g, kLocalityCluster), TreeRule::k_connecting(k),
+                        info);
 }
 
 EdgeSet build_2connecting_spanner(const Graph& g, Dist k, SpannerBuildInfo* info) {
-  REMSPAN_CHECK(k >= 1);
-  return union_over_all_roots(
-      g, [k](DomTreeBuilder& b, NodeId u) { return b.mis_k(u, k); }, info);
+  return union_of_trees(g, locality_root_order(g, kLocalityCluster), TreeRule::two_connecting(k),
+                        info);
+}
+
+EdgeSet olsr_mpr_spanner(const Graph& g, SpannerBuildInfo* info) {
+  return union_of_trees(g, locality_root_order(g, kLocalityCluster), TreeRule::mpr(), info);
 }
 
 }  // namespace remspan

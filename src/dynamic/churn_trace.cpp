@@ -85,7 +85,9 @@ ChurnTrace read_churn_trace(std::istream& in) {
   std::size_t num_edges = 0;
   REMSPAN_CHECK(static_cast<bool>(in >> tag >> trace.num_nodes) && tag == "nodes");
   REMSPAN_CHECK(static_cast<bool>(in >> tag >> num_edges) && tag == "edges");
-  trace.initial_edges.reserve(num_edges);
+  // Declared counts are untrusted: the vectors grow as entries are read, so
+  // an oversized count ends in a CheckError at the short stream instead of
+  // a huge up-front allocation.
   for (std::size_t i = 0; i < num_edges; ++i) {
     NodeId u = 0;
     NodeId v = 0;
@@ -95,11 +97,10 @@ ChurnTrace read_churn_trace(std::istream& in) {
   }
   std::size_t num_batches = 0;
   REMSPAN_CHECK(static_cast<bool>(in >> tag >> num_batches) && tag == "batches");
-  trace.batches.resize(num_batches);
-  for (auto& batch : trace.batches) {
+  for (std::size_t b = 0; b < num_batches; ++b) {
     std::size_t num_events = 0;
     REMSPAN_CHECK(static_cast<bool>(in >> tag >> num_events) && tag == "batch");
-    batch.reserve(num_events);
+    std::vector<GraphEvent>& batch = trace.batches.emplace_back();
     for (std::size_t i = 0; i < num_events; ++i) {
       std::string op;
       NodeId u = 0;

@@ -1,6 +1,5 @@
 #include "dynamic/incremental_spanner.hpp"
 
-#include <algorithm>
 #include <atomic>
 
 #include "graph/locality_order.hpp"
@@ -9,89 +8,6 @@
 #include "util/thread_pool.hpp"
 
 namespace remspan {
-
-IncrementalConfig IncrementalConfig::r_beta_tree(Dist r, Dist beta, TreeAlgorithm algo) {
-  REMSPAN_CHECK(r >= 2);
-  if (algo == TreeAlgorithm::kMis) REMSPAN_CHECK(beta == 1);
-  IncrementalConfig cfg;
-  cfg.construction = Construction::kRBetaTree;
-  cfg.algo = algo;
-  cfg.r = r;
-  cfg.beta = beta;
-  return cfg;
-}
-
-IncrementalConfig IncrementalConfig::low_stretch(double eps, TreeAlgorithm algo) {
-  return r_beta_tree(domination_radius_for_eps(eps), 1, algo);
-}
-
-IncrementalConfig IncrementalConfig::k_connecting(Dist k) {
-  REMSPAN_CHECK(k >= 1);
-  IncrementalConfig cfg;
-  cfg.construction = Construction::kKConnecting;
-  cfg.r = 2;
-  cfg.beta = 0;
-  cfg.k = k;
-  return cfg;
-}
-
-IncrementalConfig IncrementalConfig::two_connecting(Dist k) {
-  REMSPAN_CHECK(k >= 1);
-  IncrementalConfig cfg;
-  cfg.construction = Construction::k2Connecting;
-  cfg.r = 2;
-  cfg.beta = 1;
-  cfg.k = k;
-  return cfg;
-}
-
-Dist IncrementalConfig::dirty_radius() const noexcept {
-  // Exact dependency radius of the per-root tree builds, max over what the
-  // algorithms actually read (see the header comment): the BFS shells to
-  // depth D = max(r, r-1+beta) depend on edges with an endpoint at depth
-  // <= D-1, and every cover/attachment scan reads edges with an endpoint at
-  // depth <= r-1+beta (a candidate or tree node). For the k-connecting
-  // greedy (r=2, beta=0) this collapses to 1: only edges touching
-  // {u} ∪ N(u) influence relay selection — shell-2-to-shell-2 edges are
-  // never read.
-  return std::max<Dist>(1, r + beta - 1);
-}
-
-RootedTree IncrementalConfig::build_tree(DomTreeBuilder& builder, NodeId root) const {
-  switch (construction) {
-    case Construction::kRBetaTree:
-      return algo == TreeAlgorithm::kMis ? builder.mis(root, r) : builder.greedy(root, r, beta);
-    case Construction::kKConnecting:
-      return builder.greedy_k(root, k);
-    case Construction::k2Connecting:
-      return builder.mis_k(root, k);
-  }
-  detail::check_failed("unknown IncrementalConfig::Construction", std::source_location::current());
-}
-
-EdgeSet IncrementalConfig::build_full(const Graph& g, SpannerBuildInfo* info) const {
-  switch (construction) {
-    case Construction::kRBetaTree:
-      return build_remote_spanner(g, r, beta, algo, info);
-    case Construction::kKConnecting:
-      return build_k_connecting_spanner(g, k, info);
-    case Construction::k2Connecting:
-      return build_2connecting_spanner(g, k, info);
-  }
-  detail::check_failed("unknown IncrementalConfig::Construction", std::source_location::current());
-}
-
-const char* IncrementalConfig::name() const noexcept {
-  switch (construction) {
-    case Construction::kRBetaTree:
-      return algo == TreeAlgorithm::kMis ? "r-beta (mis)" : "r-beta (greedy)";
-    case Construction::kKConnecting:
-      return "k-connecting (1,0)";
-    case Construction::k2Connecting:
-      return "k-connecting (2,1)";
-  }
-  return "?";
-}
 
 std::vector<NodeId> collect_dirty_roots(const Graph& old_graph, const Graph& new_graph,
                                         std::span<const NodeId> touched, Dist radius,
@@ -129,9 +45,9 @@ std::vector<NodeId> collect_dirty_roots_split(const Graph& old_graph, const Grap
   return dirty;
 }
 
-IncrementalSpanner::IncrementalSpanner(DynamicGraph& graph, IncrementalConfig config)
+IncrementalSpanner::IncrementalSpanner(DynamicGraph& graph, TreeRule rule)
     : dynamic_(&graph),
-      config_(config),
+      rule_(rule),
       graph_(graph.snapshot()),
       version_(graph.version()),
       trees_(graph_->num_nodes()),
@@ -147,7 +63,7 @@ IncrementalSpanner::IncrementalSpanner(DynamicGraph& graph, IncrementalConfig co
 std::size_t IncrementalSpanner::build_trees(std::span<const NodeId> roots) {
   std::atomic<std::size_t> built{0};
   driver_.run(
-      roots, [this](DomTreeBuilder& b, NodeId u) { return config_.build_tree(b, u); },
+      roots, rule_,
       // record_tree: store the tree as canonical node pairs and bump the
       // shared refcounts through its recorded parent-edge ids (valid in the
       // graph the tree was built on).
@@ -204,7 +120,7 @@ ChurnBatchStats IncrementalSpanner::apply_batch(std::span<const GraphEvent> even
   const std::vector<NodeId> touched = touched_endpoints(delta);
   stats.touched_nodes = touched.size();
   dirty_ = collect_dirty_roots_split(*old_graph, *new_graph, removed_endpoints(delta),
-                                     inserted_endpoints(delta), config_.dirty_radius(),
+                                     inserted_endpoints(delta), rule_.dirty_radius(),
                                      dirty_bfs_, dirty_flag_);
   stats.dirty_roots = dirty_.size();
 

@@ -4,13 +4,12 @@
 // The locality that makes the per-root dominating trees embarrassingly
 // parallel also makes them incrementally maintainable: the tree of root u
 // is a deterministic function of the edges with an endpoint at BFS depth
-// <= dirty_radius() from u (the shells to depth max(r, r-1+beta) are fixed
-// by edges with an endpoint below that depth, and every cover/attachment
-// scan only reads edges incident to a candidate or tree node, all at depth
-// <= r-1+beta). An edge flip {a,b} can therefore only change trees whose
-// root lies within dirty_radius() = max(1, r+beta-1) of a or b (at old
-// distances for removals, new ones for insertions). Per batch of updates
-// the engine
+// <= TreeRule::dirty_radius() from u (core/remote_spanner.hpp derives the
+// bound). An edge flip {a,b} can therefore only change trees whose root
+// lies within dirty_radius() = max(1, r+beta-1) of a or b (at old
+// distances for removals, new ones for insertions). The engine maintains
+// any TreeRule — the three theorem constructions and the OLSR MPR union
+// alike. Per batch of updates the engine
 //
 //   1. diffs the old and new snapshots (diff_graphs: exact edge delta plus
 //      the old-id -> new-id map),
@@ -37,53 +36,12 @@
 #include <span>
 #include <vector>
 
-#include "core/dominating_tree.hpp"
 #include "core/remote_spanner.hpp"
 #include "dynamic/dynamic_graph.hpp"
 #include "graph/bfs.hpp"
 #include "graph/edge_set.hpp"
 
 namespace remspan {
-
-/// Which spanner construction the engine maintains; mirrors the three
-/// theorem front-ends of core/remote_spanner.hpp.
-struct IncrementalConfig {
-  enum class Construction {
-    kRBetaTree,     ///< union of (r, beta)-dominating trees (Theorem 1 shape)
-    kKConnecting,   ///< k-connecting (1,0), greedy k-cover trees (Theorem 2)
-    k2Connecting,   ///< k-connecting (2,1) trees via k MIS rounds (Theorem 3)
-  };
-
-  Construction construction = Construction::kKConnecting;
-  TreeAlgorithm algo = TreeAlgorithm::kGreedy;  ///< tree backend for kRBetaTree
-  Dist r = 2;     ///< domination radius (kRBetaTree)
-  Dist beta = 0;  ///< domination slack (kRBetaTree; MIS requires beta = 1)
-  Dist k = 1;     ///< connectivity target (kKConnecting / k2Connecting)
-
-  [[nodiscard]] static IncrementalConfig r_beta_tree(Dist r, Dist beta, TreeAlgorithm algo);
-  /// Theorem 1 front-end: (1+eps, 1-2eps)-remote-spanner.
-  [[nodiscard]] static IncrementalConfig low_stretch(double eps,
-                                                     TreeAlgorithm algo = TreeAlgorithm::kMis);
-  /// Theorem 2 front-end: k-connecting (1,0)-remote-spanner.
-  [[nodiscard]] static IncrementalConfig k_connecting(Dist k);
-  /// Theorem 3 front-end: k-connecting (2,-1)-remote-spanner.
-  [[nodiscard]] static IncrementalConfig two_connecting(Dist k = 2);
-
-  /// A changed edge can only affect roots within this distance of one of
-  /// its endpoints: max(1, r + beta - 1), the exact dependency radius of
-  /// the per-root tree builds (r = 2 for the distance-2 shell
-  /// constructions — radius 1 for the greedy k-cover, whose relay picks
-  /// never read edges between two shell-2 nodes).
-  [[nodiscard]] Dist dirty_radius() const noexcept;
-
-  /// Runs the configured per-root tree algorithm.
-  [[nodiscard]] RootedTree build_tree(DomTreeBuilder& builder, NodeId root) const;
-
-  /// The matching from-scratch construction (the equivalence oracle).
-  [[nodiscard]] EdgeSet build_full(const Graph& g, SpannerBuildInfo* info = nullptr) const;
-
-  [[nodiscard]] const char* name() const noexcept;
-};
 
 /// Computes the sorted set of roots within `radius` hops of a touched
 /// endpoint in either snapshot (removals dirty roots at old distances,
@@ -153,12 +111,12 @@ struct ChurnBatchStats {
 
 class IncrementalSpanner {
  public:
-  /// Builds the full spanner on the dynamic graph's current snapshot,
-  /// recording every root's tree edges and the per-edge refcounts. The
-  /// DynamicGraph must outlive the engine.
-  IncrementalSpanner(DynamicGraph& graph, IncrementalConfig config);
+  /// Builds the full spanner of `rule` on the dynamic graph's current
+  /// snapshot, recording every root's tree edges and the per-edge
+  /// refcounts. The DynamicGraph must outlive the engine.
+  IncrementalSpanner(DynamicGraph& graph, TreeRule rule);
 
-  [[nodiscard]] const IncrementalConfig& config() const noexcept { return config_; }
+  [[nodiscard]] const TreeRule& rule() const noexcept { return rule_; }
 
   /// The snapshot the maintained spanner refers to.
   [[nodiscard]] const Graph& graph() const noexcept { return *graph_; }
@@ -195,7 +153,7 @@ class IncrementalSpanner {
   void rebuild_spanner_bits();
 
   DynamicGraph* dynamic_;
-  IncrementalConfig config_;
+  TreeRule rule_;
   std::shared_ptr<const Graph> graph_;
   std::uint64_t version_ = 0;
   /// Per-root tree edges as node pairs: stable across snapshots, so clean

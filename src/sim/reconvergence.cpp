@@ -24,8 +24,8 @@ namespace {
 /// while a passive node only stores and forwards other nodes' floods.
 class ReconvergeProtocol final : public Protocol {
  public:
-  ReconvergeProtocol(const RemSpanConfig& config, NodeId self, const ReliabilityConfig& rel = {})
-      : config_(config), rel_(rel), self_(self) {}
+  ReconvergeProtocol(const TreeRule& rule, NodeId self, const ReliabilityConfig& rel = {})
+      : rule_(rule), rel_(rel), self_(self) {}
 
   /// Link-layer sensing: the driver hands over the node's current neighbor
   /// list (sorted) whenever one of its links changed.
@@ -62,7 +62,7 @@ class ReconvergeProtocol final : public Protocol {
   void on_round(NodeContext& ctx) override {
     ++round_;
     if (!advertise_) return;
-    const Dist scope = config_.flood_scope();
+    const Dist scope = rule_.dirty_radius();
     if (round_ == 1) {
       Message hello;
       hello.type = kMsgHello;
@@ -82,7 +82,7 @@ class ReconvergeProtocol final : public Protocol {
     if (!rel_.enabled) {
       if (round_ == 2 + scope && !finished_) {
         prune_to_ball();
-        tree_edges_ = compute_local_tree_edges(config_, self_, neighbors_, lists_);
+        tree_edges_ = compute_local_tree_edges(rule_, self_, neighbors_, lists_);
         flood_tree(ctx);
         finished_ = true;
       }
@@ -98,13 +98,13 @@ class ReconvergeProtocol final : public Protocol {
       computed_ = true;
       finished_ = true;
       recompute_needed_ = false;
-      tree_edges_ = compute_local_tree_edges(config_, self_, neighbors_, tolerant_ball_lists());
+      tree_edges_ = compute_local_tree_edges(rule_, self_, neighbors_, tolerant_ball_lists());
       ++progress_;
       flood_tree(ctx);
     } else if (computed_ && recompute_needed_) {
       recompute_needed_ = false;
       std::vector<Edge> fresh =
-          compute_local_tree_edges(config_, self_, neighbors_, tolerant_ball_lists());
+          compute_local_tree_edges(rule_, self_, neighbors_, tolerant_ball_lists());
       if (fresh != tree_edges_) {
         tree_edges_ = std::move(fresh);
         ++my_tree_version_;
@@ -238,7 +238,7 @@ class ReconvergeProtocol final : public Protocol {
     payload.reserve(neighbors_.size() + (rel_.enabled ? kVersionPrefixWords : 0));
     if (rel_.enabled) payload.push_back(0);
     payload.insert(payload.end(), neighbors_.begin(), neighbors_.end());
-    flood_.originate(ctx, kMsgNeighborList, config_.flood_scope(), std::move(payload));
+    flood_.originate(ctx, kMsgNeighborList, rule_.dirty_radius(), std::move(payload));
   }
 
   /// Floods the currently advertised tree (version-prefixed in reliable mode).
@@ -250,7 +250,7 @@ class ReconvergeProtocol final : public Protocol {
       payload.push_back(e.u);
       payload.push_back(e.v);
     }
-    flood_.originate(ctx, kMsgTree, config_.flood_scope(), std::move(payload));
+    flood_.originate(ctx, kMsgTree, rule_.dirty_radius(), std::move(payload));
   }
 
   /// The scope-ball around this node, walked breadth-first over its stored
@@ -270,7 +270,7 @@ class ReconvergeProtocol final : public Protocol {
     std::map<NodeId, Dist> dist;
     dist.emplace(self_, 0);
     std::vector<NodeId> frontier{self_};
-    for (Dist d = 0; d < config_.flood_scope() && !frontier.empty(); ++d) {
+    for (Dist d = 0; d < rule_.dirty_radius() && !frontier.empty(); ++d) {
       std::vector<NodeId> next;
       for (const NodeId w : frontier) {
         const std::vector<NodeId>* nbrs = &neighbors_;
@@ -327,7 +327,7 @@ class ReconvergeProtocol final : public Protocol {
     trees_ = std::move(trees);
   }
 
-  RemSpanConfig config_;
+  TreeRule rule_;
   ReliabilityConfig rel_;
   NodeId self_;
   FloodManager flood_;
@@ -364,9 +364,9 @@ std::vector<NodeId> sorted_neighbors(const Graph& g, NodeId v) {
 
 }  // namespace
 
-ReconvergenceSim::ReconvergenceSim(const Graph& initial, const RemSpanConfig& config,
+ReconvergenceSim::ReconvergenceSim(const Graph& initial, const TreeRule& rule,
                                    ReconvergeStrategy strategy, const FaultConfig& faults)
-    : config_(config),
+    : rule_(rule),
       strategy_(strategy),
       faults_(faults),
       rel_(faults.effective_reliability()),
@@ -375,8 +375,8 @@ ReconvergenceSim::ReconvergenceSim(const Graph& initial, const RemSpanConfig& co
       dirty_bfs_(initial.num_nodes()) {
   obs::PhaseSpan span("sim.initial_convergence", "sim");
   const ReliabilityConfig& rel = rel_;
-  net_ = std::make_unique<Network>(*graph_, [&config, &rel](NodeId v) {
-    return std::make_unique<ReconvergeProtocol>(config, v, rel);
+  net_ = std::make_unique<Network>(*graph_, [&rule, &rel](NodeId v) {
+    return std::make_unique<ReconvergeProtocol>(rule, v, rel);
   });
   if (faults_.faulty()) {
     net_->set_link_model(std::make_unique<LinkModel>(faults_.link, graph_->num_nodes()));
@@ -400,20 +400,20 @@ ReconvergenceSim::ReconvergenceSim(const Graph& initial, const RemSpanConfig& co
 }
 
 std::uint32_t ReconvergenceSim::run_epoch() {
-  if (!rel_.enabled) return net_->run(config_.round_budget());
+  if (!rel_.enabled) return net_->run(round_budget(rule_));
   // The detector window must cover the longest progress-free stretch the
   // legal schedule allows: the capped retransmission period plus delivery
   // delay, but also the quiet rounds between a node's advertisement and its
   // scheduled compute. The window alone is a candidate stop; the
   // completeness oracle below confirms it (header, proof-sketch step 4).
   const std::uint32_t window = std::max(rel_.quiescence_window_for(faults_.link.max_delay()),
-                                        config_.expected_rounds() + 2);
+                                        expected_rounds(rule_) + 2);
   return net_->run_until_quiescent(window, rel_.max_rounds,
                                    [this] { return ball_state_complete(); });
 }
 
 bool ReconvergenceSim::ball_state_complete() {
-  const Dist scope = config_.flood_scope();
+  const Dist scope = rule_.dirty_radius();
   for (NodeId u = 0; u < graph_->num_nodes(); ++u) {
     const ReconvergeProtocol& pu = proto(*net_, u);
     if (!pu.settled()) return false;
@@ -464,7 +464,7 @@ ReconvergeBatchStats ReconvergenceSim::apply_batch(std::span<const GraphEvent> e
     stats.advertising_nodes = graph_->num_nodes();
   } else {
     const std::vector<NodeId> dirty = collect_dirty_roots(
-        *old_graph, *new_graph, touched, config_.flood_scope(), dirty_bfs_, dirty_flag_);
+        *old_graph, *new_graph, touched, rule_.dirty_radius(), dirty_bfs_, dirty_flag_);
     for (NodeId v = 0; v < graph_->num_nodes(); ++v) {
       proto(*net_, v).begin_epoch(/*advertise=*/dirty_flag_[v] != 0, /*reset_state=*/false);
     }

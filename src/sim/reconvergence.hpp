@@ -16,11 +16,10 @@
 //                    re-advertise. These are exactly the *dirty roots* of
 //                    the incremental maintenance engine
 //                    (collect_dirty_roots, src/dynamic): the nodes within
-//                    flood_scope() hops of a touched endpoint in the old or
-//                    new snapshot. For every protocol kind the flood scope
-//                    equals the dependency radius max(1, r+beta-1) of the
-//                    per-root computation, so this set is both sufficient
-//                    and locally computable.
+//                    scope hops of a touched endpoint in the old or new
+//                    snapshot. The flood scope IS the TreeRule's dependency
+//                    radius max(1, r+beta-1) (TreeRule::dirty_radius), so
+//                    this set is both sufficient and locally computable.
 //
 // Why scoping re-advertisement to the dirty ball reaches the same converged
 // state as a full re-flood, bit for bit:
@@ -59,7 +58,7 @@
 // Convergence under loss (the contract the fault layer is tested against)
 // ---------------------------------------------------------------------------
 //
-// Claim. Fix a graph, a RemSpanConfig, a strategy and a churn trace, and run
+// Claim. Fix a graph, a TreeRule, a strategy and a churn trace, and run
 // the driver over any LinkModelConfig whose per-copy delivery probability is
 // bounded away from zero on every link at all times (iid drop p < 1,
 // Gilbert–Elliott with p_bad_to_good > 0 and drop_bad < 1 or finite bursts,
@@ -186,14 +185,14 @@ class ReconvergenceSim {
   /// node to the reliable protocol variant (retransmission + backoff +
   /// confirmed quiescence detection); the default FaultConfig runs the
   /// paper's exact lossless schedule.
-  ReconvergenceSim(const Graph& initial, const RemSpanConfig& config,
-                   ReconvergeStrategy strategy, const FaultConfig& faults = {});
+  ReconvergenceSim(const Graph& initial, const TreeRule& rule, ReconvergeStrategy strategy,
+                   const FaultConfig& faults = {});
   ~ReconvergenceSim();
 
   ReconvergenceSim(const ReconvergenceSim&) = delete;
   ReconvergenceSim& operator=(const ReconvergenceSim&) = delete;
 
-  [[nodiscard]] const RemSpanConfig& config() const noexcept { return config_; }
+  [[nodiscard]] const TreeRule& rule() const noexcept { return rule_; }
   [[nodiscard]] ReconvergeStrategy strategy() const noexcept { return strategy_; }
   [[nodiscard]] const FaultConfig& faults() const noexcept { return faults_; }
 
@@ -234,11 +233,11 @@ class ReconvergenceSim {
 
   /// The completeness oracle behind confirmed quiescence (proof-sketch step
   /// 4): true iff every node is settled and holds, for every origin within
-  /// flood_scope() of it on the current graph, that origin's current sensed
+  /// rule_.dirty_radius() of it on the current graph, that origin's current sensed
   /// neighbor list and currently advertised tree, content-equal.
   [[nodiscard]] bool ball_state_complete();
 
-  RemSpanConfig config_;
+  TreeRule rule_;
   ReconvergeStrategy strategy_;
   FaultConfig faults_;
   ReliabilityConfig rel_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "baseline/mpr.hpp"
 #include "obs/obs.hpp"
 #include "sim/reconvergence.hpp"
 
@@ -27,46 +26,18 @@ void record_retransmit_obs(NodeId self, std::uint32_t round, std::uint32_t inter
   }
 }
 
-Dist RemSpanConfig::flood_scope() const {
-  switch (kind) {
-    case Kind::kLowStretchGreedy:
-      return r - 1 + beta;
-    case Kind::kLowStretchMis:
-      return r;  // r - 1 + 1
-    case Kind::kKConnGreedy:
-      return 1;  // r = 2, beta = 0
-    case Kind::kKConnMis:
-      return 2;  // r = 2, beta = 1
-    case Kind::kOlsrMpr:
-      return 1;  // MPR selection reads nothing beyond N(u)'s links
-  }
-  return 1;
+std::uint32_t expected_rounds(const TreeRule& rule) { return 1 + 2 * rule.dirty_radius(); }
+
+std::uint32_t round_budget(const TreeRule& rule) {
+  return expected_rounds(rule) + kLosslessRoundSlack;
 }
 
-std::uint32_t RemSpanConfig::expected_rounds() const { return 1 + 2 * flood_scope(); }
-
-const char* RemSpanConfig::kind_name() const noexcept {
-  switch (kind) {
-    case Kind::kLowStretchGreedy:
-      return "low-stretch (greedy)";
-    case Kind::kLowStretchMis:
-      return "low-stretch (mis)";
-    case Kind::kKConnGreedy:
-      return "k-connecting (greedy)";
-    case Kind::kKConnMis:
-      return "k-connecting (mis)";
-    case Kind::kOlsrMpr:
-      return "olsr-mpr";
-  }
-  return "?";
-}
-
-std::vector<Edge> compute_local_tree_edges(const RemSpanConfig& config, NodeId self,
+std::vector<Edge> compute_local_tree_edges(const TreeRule& rule, NodeId self,
                                            const std::vector<NodeId>& neighbors,
                                            const std::map<NodeId, std::vector<NodeId>>& lists) {
   // Collect every node id the local view mentions. Ids are compacted
-  // monotonically so that every id-based tie-break in DomTreeBuilder and
-  // olsr_mpr_set matches the centralized computation on the full graph.
+  // monotonically so that every id-based tie-break in DomTreeBuilder
+  // matches the centralized computation on the full graph.
   std::vector<NodeId> known;
   known.push_back(self);
   for (const NodeId v : neighbors) known.push_back(v);
@@ -89,43 +60,23 @@ std::vector<Edge> compute_local_tree_edges(const RemSpanConfig& config, NodeId s
   const Graph local = builder.build();
   const NodeId root = local_id.at(self);
 
-  std::vector<Edge> out;
-  if (config.kind == RemSpanConfig::Kind::kOlsrMpr) {
-    for (const NodeId m : olsr_mpr_set(local, root)) {
-      out.push_back(make_edge(self, known[m]));
-    }
-    return out;
-  }
-
   DomTreeBuilder trees(local);
-  const RootedTree tree = [&] {
-    switch (config.kind) {
-      case RemSpanConfig::Kind::kLowStretchGreedy:
-        return trees.greedy(root, config.r, config.beta);
-      case RemSpanConfig::Kind::kLowStretchMis:
-        return trees.mis(root, config.r);
-      case RemSpanConfig::Kind::kKConnGreedy:
-        return trees.greedy_k(root, config.k);
-      case RemSpanConfig::Kind::kKConnMis:
-        return trees.mis_k(root, config.k);
-      case RemSpanConfig::Kind::kOlsrMpr:
-        break;  // handled above
-    }
-    return RootedTree(root);
-  }();
+  const RootedTree tree = rule.build(trees, root);
+  std::vector<Edge> out;
+  out.reserve(tree.num_edges());
   for (const Edge& e : tree.edges()) {
     out.push_back(make_edge(known[e.u], known[e.v]));
   }
   return out;
 }
 
-DistributedRunResult run_remspan_distributed(const Graph& g, const RemSpanConfig& config) {
-  return run_remspan_distributed(g, config, FaultConfig{});
+DistributedRunResult run_remspan_distributed(const Graph& g, const TreeRule& rule) {
+  return run_remspan_distributed(g, rule, FaultConfig{});
 }
 
-DistributedRunResult run_remspan_distributed(const Graph& g, const RemSpanConfig& config,
+DistributedRunResult run_remspan_distributed(const Graph& g, const TreeRule& rule,
                                              const FaultConfig& faults) {
-  const ReconvergenceSim sim(g, config, ReconvergeStrategy::kIncremental, faults);
+  const ReconvergenceSim sim(g, rule, ReconvergeStrategy::kIncremental, faults);
   const ReconvergeBatchStats& initial = sim.initial_stats();
   EdgeSet spanner(g);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {

@@ -6,12 +6,15 @@
 //                              locally reconstructed topology
 //   rounds 2+scope .. 1+2*scope : flood T_u to B(u, scope)
 //
-// with scope = r - 1 + beta, for a total of 2r - 1 + 2*beta rounds exactly
-// as derived in the paper. Each node computes its tree from nothing but the
-// neighbor lists it actually received — the tests assert the distributed
-// union equals the centralized construction edge-for-edge.
+// with scope = TreeRule::dirty_radius() = r - 1 + beta, for a total of
+// 2r - 1 + 2*beta rounds exactly as derived in the paper. The tree each
+// node builds is the TreeRule's (core/remote_spanner.hpp) — the same rule
+// the centralized and incremental builds run, OLSR MPR selection included.
+// Each node computes its tree from nothing but the neighbor lists it
+// actually received — the tests assert the distributed union equals the
+// centralized construction edge-for-edge.
 //
-// This header holds the protocol's configuration, the node-local tree
+// This header holds the protocol's round schedule, the node-local tree
 // computation and the one-shot run. The node program itself is the epoch
 // protocol of ReconvergenceSim (reconvergence.hpp): a one-shot run is that
 // driver's initial epoch, in which every node advertises from a cold start.
@@ -20,7 +23,7 @@
 #include <map>
 #include <vector>
 
-#include "core/dominating_tree.hpp"
+#include "core/remote_spanner.hpp"
 #include "sim/link_model.hpp"
 #include "sim/network.hpp"
 
@@ -40,66 +43,39 @@ inline constexpr std::size_t kVersionPrefixWords = 1;
 
 /// Safety margin added to the exact 1 + 2*scope schedule when capping a
 /// lossless protocol epoch. A lossless run terminates by quiescence at
-/// exactly expected_rounds() (pinned by Reconvergence.LosslessRunsStopAt
+/// exactly expected_rounds(rule) (pinned by Reconvergence.LosslessRunsStopAt
 /// ExactlyThePredictedRound); the slack only bounds the simulator loop if
 /// a protocol bug ever kept messages in flight, so that the failure shows
 /// up as a wrong round count instead of a hang.
 inline constexpr std::uint32_t kLosslessRoundSlack = 4;
 
-struct RemSpanConfig {
-  /// Which dominating-tree algorithm each node runs locally.
-  enum class Kind {
-    kLowStretchGreedy,  ///< Algorithm 1, (r, beta)-dominating trees
-    kLowStretchMis,     ///< Algorithm 2, (r, 1)-dominating trees
-    kKConnGreedy,       ///< Algorithm 4, k-connecting (2,0)-dominating trees
-    kKConnMis,          ///< Algorithm 5, k-connecting (2,1)-dominating trees
-    kOlsrMpr,           ///< RFC 3626 multipoint-relay selection (baseline)
-  };
+/// Total round budget 1 + 2 * scope = 2r - 1 + 2 beta claimed by the paper,
+/// with scope = rule.dirty_radius().
+[[nodiscard]] std::uint32_t expected_rounds(const TreeRule& rule);
 
-  Kind kind = Kind::kKConnGreedy;
-  Dist r = 2;     ///< low-stretch radius (>= 2)
-  Dist beta = 1;  ///< low-stretch slack (greedy only; MIS is beta = 1)
-  Dist k = 1;     ///< connectivity target for the k-connecting kinds
-
-  /// Flooding scope r - 1 + beta; how far neighbor lists and trees travel.
-  /// Equal to the dependency radius max(1, r+beta-1) of the per-root
-  /// computation for every kind (IncrementalConfig::dirty_radius), which is
-  /// what lets the reconvergence driver scope re-advertisement to the dirty
-  /// ball without changing the converged result.
-  [[nodiscard]] Dist flood_scope() const;
-
-  /// Total round budget 2r - 1 + 2 beta claimed by the paper.
-  [[nodiscard]] std::uint32_t expected_rounds() const;
-
-  /// Simulator cap for one lossless epoch: the exact schedule plus
-  /// kLosslessRoundSlack so a protocol bug hangs the round counter, not the
-  /// process. The single named home of the former "expected_rounds() + 4".
-  [[nodiscard]] std::uint32_t round_budget() const {
-    return expected_rounds() + kLosslessRoundSlack;
-  }
-
-  /// Human-readable kind name (bench/tool labels).
-  [[nodiscard]] const char* kind_name() const noexcept;
-};
+/// Simulator cap for one lossless epoch: the exact schedule plus
+/// kLosslessRoundSlack so a protocol bug hangs the round counter, not the
+/// process.
+[[nodiscard]] std::uint32_t round_budget(const TreeRule& rule);
 
 /// The node-local computation of the protocol: reconstructs the topology
 /// within the flood scope from `self`'s own (sorted) neighbor list plus the
-/// received per-origin neighbor lists, runs the configured per-root
-/// algorithm on it, and returns the selected tree edges in global node ids.
+/// received per-origin neighbor lists, runs rule.build on it, and returns
+/// the selected tree edges in global node ids.
 ///
 /// Node ids are compacted monotonically before the tree build so every
 /// id-based tie-break matches the centralized computation on the full graph
 /// — this is the function that makes "distributed union == centralized
 /// spanner" hold edge-for-edge.
 ///
-/// @param config     Protocol kind and parameters.
+/// @param rule       The per-root tree rule.
 /// @param self       The computing node (global id).
 /// @param neighbors  self's current neighbor list, sorted ascending.
 /// @param lists      origin -> its sorted neighbor list, for every origin
 ///                   within the flood scope of self.
 /// @return           The tree (or MPR star) edges rooted at self.
 [[nodiscard]] std::vector<Edge> compute_local_tree_edges(
-    const RemSpanConfig& config, NodeId self, const std::vector<NodeId>& neighbors,
+    const TreeRule& rule, NodeId self, const std::vector<NodeId>& neighbors,
     const std::map<NodeId, std::vector<NodeId>>& lists);
 
 /// Telemetry hook for the node program's ack-less retransmission: bumps the
@@ -119,8 +95,7 @@ struct DistributedRunResult {
   NetworkStats stats;
   std::uint32_t rounds = 0;
 };
-[[nodiscard]] DistributedRunResult run_remspan_distributed(const Graph& g,
-                                                           const RemSpanConfig& config);
+[[nodiscard]] DistributedRunResult run_remspan_distributed(const Graph& g, const TreeRule& rule);
 
 /// As above, but over a faulted channel: attaches a LinkModel built from
 /// `faults.link` and, whenever the channel is faulty (or reliability was
@@ -131,8 +106,7 @@ struct DistributedRunResult {
 /// byte-identical to the two-argument overload. The convergence-under-loss
 /// contract (reconvergence.hpp) applies: for any loss rate < 1 the returned
 /// spanner equals the lossless run's spanner edge-for-edge.
-[[nodiscard]] DistributedRunResult run_remspan_distributed(const Graph& g,
-                                                           const RemSpanConfig& config,
+[[nodiscard]] DistributedRunResult run_remspan_distributed(const Graph& g, const TreeRule& rule,
                                                            const FaultConfig& faults);
 
 }  // namespace remspan

@@ -2,8 +2,22 @@
 
 #include <algorithm>
 #include <exception>
+#include <utility>
 
 namespace remspan {
+
+namespace {
+
+/// The pool (and worker id) whose parallel_for the current thread is
+/// draining; null outside any drain. A pool thread runs every body inside a
+/// drain, as does a caller thread while it participates.
+struct Membership {
+  const ThreadPool* pool = nullptr;
+  std::size_t worker = 0;
+};
+thread_local Membership tls_membership;
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
@@ -49,6 +63,15 @@ void ThreadPool::parallel_for_workers(
     std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, std::size_t)>& body, std::size_t chunk) {
   if (begin >= end) return;
+  // A nested call from inside one of this pool's bodies runs inline with
+  // the caller's worker id: queueing helpers would wait on workers that may
+  // all be blocked in the same wait, and the id stays exclusive to this
+  // thread for the whole nested loop.
+  if (tls_membership.pool == this) {
+    const std::size_t worker = tls_membership.worker;
+    for (std::size_t i = begin; i < end; ++i) body(i, worker);
+    return;
+  }
   const std::size_t total = end - begin;
   // Never enqueue more helpers than there are items beyond the caller's own:
   // surplus helpers would only wake up, fail the fetch_add race, and go back
@@ -81,7 +104,8 @@ void ThreadPool::parallel_for_workers(
   shared.body = &body;
   shared.remaining.store(helpers, std::memory_order_relaxed);
 
-  auto drain = [&shared](std::size_t worker_id) {
+  auto drain = [this, &shared](std::size_t worker_id) {
+    const Membership outer = std::exchange(tls_membership, Membership{this, worker_id});
     try {
       while (true) {
         const std::size_t lo =
@@ -96,6 +120,7 @@ void ThreadPool::parallel_for_workers(
       // Drop pending work so everyone exits promptly.
       shared.next.store(shared.end, std::memory_order_relaxed);
     }
+    tls_membership = outer;
   };
 
   {

@@ -18,6 +18,7 @@
 #include "geom/synthetic.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/graph.hpp"
+#include "graph/locality_order.hpp"
 #include "util/rng.hpp"
 
 namespace remspan::testsupport {
@@ -85,17 +86,24 @@ inline constexpr Dist kMisRadii[] = {2, 3, 5};
 inline constexpr Dist kGreedyKs[] = {1, 2, 3, 5};
 inline constexpr Dist kMisKs[] = {1, 2, 3};
 
-/// The incremental-maintenance construction sweep: one config per
+/// The incremental-maintenance construction sweep: one rule per
 /// construction family the dynamic engine supports.
-inline std::vector<IncrementalConfig> incremental_sweep_configs() {
+inline std::vector<TreeRule> incremental_sweep_configs() {
   return {
-      IncrementalConfig::k_connecting(1),
-      IncrementalConfig::k_connecting(2),
-      IncrementalConfig::two_connecting(2),
-      IncrementalConfig::r_beta_tree(3, 1, TreeAlgorithm::kGreedy),
-      IncrementalConfig::r_beta_tree(2, 0, TreeAlgorithm::kGreedy),
-      IncrementalConfig::low_stretch(0.5, TreeAlgorithm::kMis),
+      TreeRule::k_connecting(1),
+      TreeRule::k_connecting(2),
+      TreeRule::two_connecting(2),
+      TreeRule::r_beta(3, 1, TreeAlgorithm::kGreedy),
+      TreeRule::r_beta(2, 0, TreeAlgorithm::kGreedy),
+      TreeRule::low_stretch(0.5, TreeAlgorithm::kMis),
+      TreeRule::mpr(),
   };
+}
+
+/// The from-scratch build of `rule` on g (all roots, the front-ends' root
+/// order): the equivalence oracle of the incremental and protocol suites.
+inline EdgeSet scratch_spanner(const Graph& g, const TreeRule& rule) {
+  return union_of_trees(g, locality_root_order(g, kLocalityCluster), rule);
 }
 
 }  // namespace remspan::testsupport

@@ -11,7 +11,6 @@
 #include "api/spec.hpp"
 #include "baseline/baswana_sen.hpp"
 #include "baseline/greedy_spanner.hpp"
-#include "baseline/mpr.hpp"
 #include "core/remote_spanner.hpp"
 #include "geom/ball_graph.hpp"
 #include "geom/synthetic.hpp"
@@ -237,30 +236,35 @@ TEST(ApiSpec, GuaranteesLabelsAndVerifiersMatchTheConstructions) {
 }
 
 TEST(ApiSpec, CapabilityMapsMatchTheDynamicAndProtocolConfigs) {
+  // Every tree-union construction has a TreeRule, which is what the
+  // incremental engine, the service and the protocol sessions all run on.
   EXPECT_TRUE(api::supports_incremental(api::parse_spanner_spec("th1")));
   EXPECT_TRUE(api::supports_incremental(api::parse_spanner_spec("th2")));
   EXPECT_TRUE(api::supports_incremental(api::parse_spanner_spec("th3")));
-  EXPECT_FALSE(api::supports_incremental(api::parse_spanner_spec("mpr")));
+  EXPECT_TRUE(api::supports_incremental(api::parse_spanner_spec("mpr")));
+  EXPECT_FALSE(api::supports_incremental(api::parse_spanner_spec("baswana")));
   EXPECT_FALSE(api::supports_incremental(api::parse_spanner_spec("greedy")));
   EXPECT_FALSE(api::supports_incremental(api::parse_spanner_spec("full")));
-  EXPECT_TRUE(api::supports_protocol(api::parse_spanner_spec("mpr")));
-  EXPECT_FALSE(api::supports_protocol(api::parse_spanner_spec("baswana")));
 
-  const IncrementalConfig inc = api::incremental_config(api::parse_spanner_spec("th2?k=2"));
-  EXPECT_EQ(inc.construction, IncrementalConfig::Construction::kKConnecting);
+  const TreeRule inc = api::incremental_config(api::parse_spanner_spec("th2?k=2"));
+  EXPECT_EQ(inc, TreeRule::k_connecting(2));
+  EXPECT_EQ(inc.kind, TreeRule::Kind::kGreedyK);
   EXPECT_EQ(inc.k, 2u);
-  const IncrementalConfig th1 = api::incremental_config(api::parse_spanner_spec("th1?eps=0.5"));
-  EXPECT_EQ(th1.construction, IncrementalConfig::Construction::kRBetaTree);
+  EXPECT_EQ(inc.dirty_radius(), 1u);
+  const TreeRule th1 = api::incremental_config(api::parse_spanner_spec("th1?eps=0.5"));
+  EXPECT_EQ(th1.kind, TreeRule::Kind::kMis);
   EXPECT_EQ(th1.r, domination_radius_for_eps(0.5));
-  EXPECT_EQ(th1.algo, TreeAlgorithm::kMis);
+  const TreeRule th1_greedy =
+      api::incremental_config(api::parse_spanner_spec("th1?eps=0.25&tree=greedy"));
+  EXPECT_EQ(th1_greedy, TreeRule::r_beta(5, 1, TreeAlgorithm::kGreedy));
+  EXPECT_EQ(th1_greedy.dirty_radius(), 5u);
+  EXPECT_EQ(api::incremental_config(api::parse_spanner_spec("th3")), TreeRule::two_connecting(2));
 
-  const RemSpanConfig proto = api::protocol_config(api::parse_spanner_spec("th1?eps=0.25"));
-  EXPECT_EQ(proto.kind, RemSpanConfig::Kind::kLowStretchMis);
-  EXPECT_EQ(proto.r, 5u);
-  EXPECT_EQ(api::protocol_config(api::parse_spanner_spec("mpr")).kind,
-            RemSpanConfig::Kind::kOlsrMpr);
-  EXPECT_THROW((void)api::incremental_config(api::parse_spanner_spec("mpr")), api::SpecError);
-  EXPECT_THROW((void)api::protocol_config(api::parse_spanner_spec("full")), api::SpecError);
+  const TreeRule mpr = api::incremental_config(api::parse_spanner_spec("mpr"));
+  EXPECT_EQ(mpr.kind, TreeRule::Kind::kMpr);
+  EXPECT_EQ(mpr.dirty_radius(), 1u);
+  EXPECT_THROW((void)api::incremental_config(api::parse_spanner_spec("greedy")), api::SpecError);
+  EXPECT_THROW((void)api::incremental_config(api::parse_spanner_spec("full")), api::SpecError);
 }
 
 TEST(ApiSpec, IncrementalSessionTracksTheDirectEngine) {
@@ -279,6 +283,28 @@ TEST(ApiSpec, IncrementalSessionTracksTheDirectEngine) {
   EXPECT_EQ(session->spanner(), api::build_spanner(session->graph(), spec).edges);
   EXPECT_THROW((void)api::open_incremental_session(g, api::parse_spanner_spec("greedy")),
                api::SpecError);
+}
+
+TEST(ApiSpec, MprSessionTracksTheRegistryBuild) {
+  // The OLSR MPR union is maintained like any other TreeRule: dirty radius
+  // 1, bit-exact against the from-scratch registry build after every batch.
+  const Graph g = test_graph(19);
+  const api::SpannerSpec spec = api::parse_spanner_spec("mpr");
+  const auto session = api::open_incremental_session(g, spec);
+  EXPECT_EQ(session->spanner().edge_list(), olsr_mpr_spanner(g).edge_list());
+  Rng rng(23);
+  for (int b = 0; b < 4; ++b) {
+    std::vector<GraphEvent> batch;
+    const Graph& cur = session->graph();
+    const Edge e = cur.edge(static_cast<EdgeId>(rng.uniform(cur.num_edges())));
+    batch.push_back(GraphEvent::edge_down(e.u, e.v));
+    const auto a = static_cast<NodeId>(rng.uniform(cur.num_nodes()));
+    const auto c = static_cast<NodeId>(rng.uniform(cur.num_nodes()));
+    if (a != c) batch.push_back(GraphEvent::edge_up(a, c));
+    session->apply_batch(batch);
+    ASSERT_EQ(session->spanner(), api::build_spanner(session->graph(), spec).edges)
+        << "batch " << b;
+  }
 }
 
 TEST(ApiSpec, RuntimeRegisteredConstructionIsStringAddressable) {

@@ -8,7 +8,6 @@
 #include "analysis/stretch_oracle.hpp"
 #include "baseline/baswana_sen.hpp"
 #include "baseline/greedy_spanner.hpp"
-#include "baseline/mpr.hpp"
 #include "core/remote_spanner.hpp"
 #include "geom/ball_graph.hpp"
 #include "geom/synthetic.hpp"
@@ -141,8 +140,15 @@ TEST(BaswanaSen, PreservesConnectivity) {
 TEST(OlsrMpr, CoversAllTwoHopNodes) {
   Rng rng(727);
   const Graph g = connected_random(40, 0.12, 729);
+  DomTreeBuilder builder(g);
   for (NodeId u = 0; u < g.num_nodes(); u += 3) {
-    const auto mpr = olsr_mpr_set(g, u);
+    const RootedTree star = builder.mpr(u);
+    std::vector<NodeId> mpr;
+    for (const NodeId m : star.nodes()) {
+      if (m == u) continue;
+      EXPECT_EQ(star.parent(m), u) << "u=" << u << " m=" << m;  // a star: depth 1 only
+      mpr.push_back(m);
+    }
     // Every strict 2-hop node of u must have a neighbor among the MPRs.
     const auto dist = bfs_distances(GraphView(g), u, 2);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {

@@ -146,15 +146,17 @@ TEST(CApi, BuildAndVerifyErrorPaths) {
   remspan_spanner_free(h);
 }
 
-TEST(CApi, SessionEventReplayStaysBitExact) {
+/// Replays a few batches through a session of `spec`; after each, the
+/// maintained spanner must equal a from-scratch rebuild, edge for edge.
+void expect_session_replay_bit_exact(const char* spec) {
   remspan_graph_t* g = nullptr;
   ASSERT_EQ(remspan_graph_generate("udg?n=120&side=4&seed=8", &g), REMSPAN_OK);
   remspan_session_t* session = nullptr;
-  ASSERT_EQ(remspan_session_open(g, "th2?k=1", &session), REMSPAN_OK);
+  ASSERT_EQ(remspan_session_open(g, spec, &session), REMSPAN_OK);
 
   // Initial state equals a from-scratch build.
   remspan_spanner_t* initial = nullptr;
-  ASSERT_EQ(remspan_spanner_build(g, "th2?k=1", &initial), REMSPAN_OK);
+  ASSERT_EQ(remspan_spanner_build(g, spec, &initial), REMSPAN_OK);
   EXPECT_EQ(remspan_session_spanner_num_edges(session), remspan_spanner_num_edges(initial));
   remspan_spanner_free(initial);
 
@@ -175,13 +177,13 @@ TEST(CApi, SessionEventReplayStaysBitExact) {
     remspan_graph_t* snapshot = nullptr;
     ASSERT_EQ(remspan_session_graph(session, &snapshot), REMSPAN_OK);
     remspan_spanner_t* scratch = nullptr;
-    ASSERT_EQ(remspan_spanner_build(snapshot, "th2?k=1", &scratch), REMSPAN_OK);
+    ASSERT_EQ(remspan_spanner_build(snapshot, spec, &scratch), REMSPAN_OK);
     const size_t count = remspan_session_spanner_num_edges(session);
     ASSERT_EQ(count, remspan_spanner_num_edges(scratch));
     std::vector<uint32_t> a(2 * count, 0), b(2 * count, 1);
     EXPECT_EQ(remspan_session_spanner_edges(session, a.data(), count), count);
     EXPECT_EQ(remspan_spanner_edges(scratch, b.data(), count), count);
-    EXPECT_EQ(a, b) << "round " << round;
+    EXPECT_EQ(a, b) << spec << " round " << round;
     remspan_spanner_free(scratch);
     remspan_graph_free(snapshot);
   }
@@ -189,13 +191,17 @@ TEST(CApi, SessionEventReplayStaysBitExact) {
   remspan_graph_free(g);
 }
 
+TEST(CApi, SessionEventReplayStaysBitExact) { expect_session_replay_bit_exact("th2?k=1"); }
+
+TEST(CApi, MprSessionEventReplayStaysBitExact) { expect_session_replay_bit_exact("mpr"); }
+
 TEST(CApi, SessionErrorPaths) {
   remspan_graph_t* g = nullptr;
   ASSERT_EQ(remspan_graph_from_edges(kBridgeNodes, kBridgeEdges, kBridgeEdgeCount, &g),
             REMSPAN_OK);
   remspan_session_t* session = nullptr;
-  EXPECT_EQ(remspan_session_open(g, "mpr", &session), REMSPAN_ERR_UNSUPPORTED);
-  EXPECT_NE(std::string(remspan_last_error()).find("mpr"), std::string::npos);
+  EXPECT_EQ(remspan_session_open(g, "greedy", &session), REMSPAN_ERR_UNSUPPORTED);
+  EXPECT_NE(std::string(remspan_last_error()).find("greedy"), std::string::npos);
   EXPECT_EQ(remspan_session_open(g, "th2?bogus=1", &session), REMSPAN_ERR_PARSE);
   // "th9" parses as a custom spec but is not registered: the registry lookup
   // must surface as a parse error, not escape the ABI as a C++ exception.
@@ -305,7 +311,8 @@ TEST(CApiService, ErrorPathsAndAdmission) {
   ASSERT_EQ(remspan_service_create(&cfg, &service), REMSPAN_OK);
 
   uint32_t tenant = 0;
-  EXPECT_EQ(remspan_service_open_tenant(service, g, "mpr", &tenant), REMSPAN_ERR_UNSUPPORTED);
+  EXPECT_EQ(remspan_service_open_tenant(service, g, "baswana", &tenant),
+            REMSPAN_ERR_UNSUPPORTED);
   EXPECT_EQ(remspan_service_open_tenant(service, g, "th2?k=banana", &tenant),
             REMSPAN_ERR_PARSE);
   EXPECT_EQ(remspan_service_open_tenant(nullptr, g, "th2", &tenant),

@@ -127,9 +127,7 @@ TEST_P(CrossValidation, SpannerBuildersAreDeterministic) {
 
 TEST_P(CrossValidation, DistributedProtocolIsDeterministic) {
   const Graph g = fuzz_graph(GetParam());
-  RemSpanConfig cfg;
-  cfg.kind = RemSpanConfig::Kind::kKConnGreedy;
-  cfg.k = 2;
+  const TreeRule cfg = TreeRule::k_connecting(2);
   const auto run1 = run_remspan_distributed(g, cfg);
   const auto run2 = run_remspan_distributed(g, cfg);
   EXPECT_EQ(run1.spanner, run2.spanner);

@@ -4,11 +4,13 @@
 // in the same order, same trees, same edge sets. The reference
 // implementations below are verbatim ports of the original quadratic scans
 // (recompute-every-candidate-per-pick, whole-ball rescans per shell,
-// per-worker partial unions); any divergence in pick order, tie-breaking or
+// per-worker partial unions, the per-root-allocating OLSR MPR selection);
+// any divergence in pick order, tie-breaking or
 // attachment shows up as a node/edge mismatch here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/dominating_tree.hpp"
@@ -258,6 +260,77 @@ class ReferenceBuilder {
   std::vector<std::vector<NodeId>> branches_;
 };
 
+/// The original OLSR multipoint-relay selection (RFC 3626 Section 8.3.1),
+/// ported verbatim as the oracle of DomTreeBuilder::mpr: a fresh BFS and two
+/// n-byte arrays per root, the MPR set returned sorted. Do not optimize.
+std::vector<NodeId> reference_mpr_set(const Graph& g, NodeId u) {
+  BoundedBfs bfs(g.num_nodes());
+  bfs.run(GraphView(g), u, 2);
+
+  // N2: strict two-hop neighborhood.
+  std::vector<NodeId> two_hop;
+  for (const NodeId v : bfs.order()) {
+    if (bfs.dist(v) == 2) two_hop.push_back(v);
+  }
+
+  std::vector<std::uint8_t> covered(g.num_nodes(), 0);
+  std::vector<std::uint8_t> in_mpr(g.num_nodes(), 0);
+  std::size_t uncovered = two_hop.size();
+  std::vector<NodeId> mpr;
+
+  auto add_mpr = [&](NodeId x) {
+    in_mpr[x] = 1;
+    mpr.push_back(x);
+    for (const NodeId w : g.neighbors(x)) {
+      if (bfs.dist(w) == 2 && covered[w] == 0) {
+        covered[w] = 1;
+        --uncovered;
+      }
+    }
+  };
+
+  // Step 1 (RFC): neighbors that are the only route to some 2-hop node.
+  for (const NodeId v : two_hop) {
+    NodeId sole = kInvalidNode;
+    int count = 0;
+    for (const NodeId w : g.neighbors(v)) {
+      if (bfs.dist(w) == 1) {
+        sole = w;
+        if (++count > 1) break;
+      }
+    }
+    if (count == 1 && in_mpr[sole] == 0) add_mpr(sole);
+  }
+
+  // Step 2 (RFC): greedy by reachability (uncovered 2-hop nodes reached),
+  // ties by degree (higher first), then id.
+  while (uncovered > 0) {
+    NodeId best = kInvalidNode;
+    std::size_t best_reach = 0;
+    for (const NodeId x : g.neighbors(u)) {
+      if (in_mpr[x] != 0) continue;
+      std::size_t reach = 0;
+      for (const NodeId w : g.neighbors(x)) {
+        reach += (bfs.dist(w) == 2 && covered[w] == 0);
+      }
+      if (reach == 0) continue;
+      const bool better =
+          reach > best_reach ||
+          (reach == best_reach &&
+           (g.degree(x) > g.degree(best) || (g.degree(x) == g.degree(best) && x < best)));
+      if (best == kInvalidNode || better) {
+        best_reach = reach;
+        best = x;
+      }
+    }
+    REMSPAN_CHECK(best != kInvalidNode);
+    add_mpr(best);
+  }
+
+  std::sort(mpr.begin(), mpr.end());
+  return mpr;
+}
+
 /// Trees must be identical as ordered objects: same members in the same
 /// insertion order (i.e. the same picks happened in the same sequence),
 /// same parents, depths and recorded parent edge ids.
@@ -353,6 +426,31 @@ TEST(DomTreeEquivalence, MisKMatchesReferenceAcrossFamiliesAndK) {
   }
 }
 
+TEST(DomTreeEquivalence, MprMatchesReferenceAcrossFamilies) {
+  for (int which = 0; which < testsupport::kNumEquivalenceFamilies; ++which) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const Graph g = family_graph(which, 4500 * seed + which);
+      DomTreeBuilder fast(g);
+      for (NodeId u = 0; u < g.num_nodes(); ++u) {
+        const std::string label = "mpr graph=" + std::to_string(which) +
+                                  " seed=" + std::to_string(seed) + " u=" + std::to_string(u);
+        // The star: root first, then the MPRs in ascending id order, each a
+        // depth-1 child carrying the id of its edge to the root.
+        const RootedTree star = fast.mpr(u);
+        std::vector<NodeId> want{u};
+        for (const NodeId m : reference_mpr_set(g, u)) want.push_back(m);
+        ASSERT_EQ(star.nodes(), want) << label;
+        for (std::size_t i = 1; i < want.size(); ++i) {
+          EXPECT_EQ(star.parent(want[i]), u) << label << " m=" << want[i];
+          EXPECT_EQ(star.depth(want[i]), 1u) << label << " m=" << want[i];
+          EXPECT_EQ(star.parent_edge(want[i]), g.find_edge(u, want[i]))
+              << label << " m=" << want[i];
+        }
+      }
+    }
+  }
+}
+
 /// The concurrent shared-bitset union must produce exactly the edge set of
 /// a sequential one-builder union of the same (reference) trees.
 TEST(DomTreeEquivalence, SpannerUnionMatchesSequentialReferenceUnion) {
@@ -391,6 +489,13 @@ TEST(DomTreeEquivalence, SpannerUnionMatchesSequentialReferenceUnion) {
       const EdgeSet got2 = build_2connecting_spanner(g, k);
       EXPECT_TRUE(got2 == want2) << "mis_k union graph=" << which << " k=" << k;
     }
+    // The MPR union as the original baseline formed it: every star edge
+    // {u, m} inserted root by root.
+    EdgeSet want_mpr(g);
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      for (const NodeId m : reference_mpr_set(g, u)) want_mpr.insert(u, m);
+    }
+    EXPECT_TRUE(olsr_mpr_spanner(g) == want_mpr) << "mpr union graph=" << which;
   }
 }
 

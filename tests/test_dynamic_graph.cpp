@@ -223,6 +223,21 @@ TEST(ChurnTrace, RoundTripsThroughText) {
   }
 }
 
+TEST(ChurnTrace, OversizedDeclaredCountsThrowCheckError) {
+  // Declared counts come straight from the file: a count far beyond what
+  // the stream holds must end in a CheckError at the short stream, never in
+  // a length_error / bad_alloc from sizing a vector up front.
+  const char* const malformed[] = {
+      "churntrace 1\nnodes 4\nedges 18446744073709551615\n0 1\n",
+      "churntrace 1\nnodes 4\nedges 1\n0 1\nbatches 4000000000000\nbatch 1\ne- 0 1\n",
+      "churntrace 1\nnodes 4\nedges 1\n0 1\nbatches 1\nbatch 18446744073709551615\ne- 0 1\n",
+  };
+  for (const char* text : malformed) {
+    std::istringstream in(text);
+    EXPECT_THROW((void)read_churn_trace(in), CheckError) << text;
+  }
+}
+
 TEST(ChurnTrace, GeneratorsAreDeterministic) {
   Rng rng(6);
   const auto gg = largest_component(uniform_unit_ball_graph(50, 4.0, 2, rng));

@@ -137,9 +137,7 @@ TEST(TopologyChange, ProtocolConvergesOnNewGraphAfterSwap) {
     if (!g1.has_edge(e.u, e.v)) swap.push_back(GraphEvent::edge_up(e.u, e.v));
   }
   ASSERT_FALSE(swap.empty());
-  RemSpanConfig cfg;
-  cfg.kind = RemSpanConfig::Kind::kKConnGreedy;
-  cfg.k = 1;
+  const TreeRule cfg = TreeRule::k_connecting(1);
   const EdgeSet expected = build_k_connecting_spanner(g2, 1);
   for (const auto strategy : {ReconvergeStrategy::kIncremental, ReconvergeStrategy::kFullReflood}) {
     ReconvergenceSim sim(g1, cfg, strategy);

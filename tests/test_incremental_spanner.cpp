@@ -28,7 +28,7 @@ Graph make_family(int family, std::uint64_t seed) {
   return testsupport::churn_family(family, seed);
 }
 
-std::vector<IncrementalConfig> sweep_configs() { return testsupport::incremental_sweep_configs(); }
+std::vector<TreeRule> sweep_configs() { return testsupport::incremental_sweep_configs(); }
 
 /// One random batch of events: edge toggles over node pairs biased toward
 /// existing edges, with a sprinkle of node up/down churn.
@@ -57,11 +57,11 @@ std::vector<GraphEvent> random_batch(const DynamicGraph& dg, const Graph& curren
 
 /// From-scratch trees of every root (the oracle for dirty-set and refcount
 /// assertions).
-std::vector<std::vector<Edge>> all_trees(const Graph& g, const IncrementalConfig& cfg) {
+std::vector<std::vector<Edge>> all_trees(const Graph& g, const TreeRule& cfg) {
   DomTreeBuilder builder(g);
   std::vector<std::vector<Edge>> trees(g.num_nodes());
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    const RootedTree tree = cfg.build_tree(builder, u);
+    const RootedTree tree = cfg.build(builder, u);
     for (const NodeId v : tree.nodes()) {
       if (v != tree.root()) trees[u].push_back(make_edge(v, tree.parent(v)));
     }
@@ -75,18 +75,18 @@ TEST(IncrementalSpanner, MatchesFromScratchAcrossFamiliesConfigsAndBatches) {
   // >= 100 update batches in total, every one checked bit-exactly.
   std::size_t total_batches = 0;
   for (int family = 0; family < 3; ++family) {
-    for (const IncrementalConfig& cfg : sweep_configs()) {
+    for (const TreeRule& cfg : sweep_configs()) {
       for (std::uint64_t seed = 1; seed <= 2; ++seed) {
         Rng rng(1000 * seed + family);
         DynamicGraph dg(make_family(family, seed));
         IncrementalSpanner inc(dg, cfg);
-        EXPECT_EQ(inc.spanner(), cfg.build_full(inc.graph()));
+        EXPECT_EQ(inc.spanner(), testsupport::scratch_spanner(inc.graph(), cfg));
         // Varying batch sizes, including empty and single-event batches.
         const std::size_t batch_sizes[] = {1, 0, 4, 13, 2};
         for (const std::size_t size : batch_sizes) {
           const auto batch = random_batch(dg, inc.graph(), size, rng);
           const ChurnBatchStats stats = inc.apply_batch(batch);
-          ASSERT_EQ(inc.spanner(), cfg.build_full(inc.graph()))
+          ASSERT_EQ(inc.spanner(), testsupport::scratch_spanner(inc.graph(), cfg))
               << "family " << family << " cfg " << cfg.name() << " seed " << seed
               << " batch size " << size;
           EXPECT_EQ(stats.spanner_edges, inc.spanner().size());
@@ -101,8 +101,8 @@ TEST(IncrementalSpanner, MatchesFromScratchAcrossFamiliesConfigsAndBatches) {
 
 TEST(IncrementalSpanner, DirtySetIsSupersetOfChangedTrees) {
   for (int family = 0; family < 3; ++family) {
-    const IncrementalConfig cfg =
-        family == 1 ? IncrementalConfig::two_connecting(2) : IncrementalConfig::k_connecting(2);
+    const TreeRule cfg =
+        family == 1 ? TreeRule::two_connecting(2) : TreeRule::k_connecting(2);
     Rng rng(77 + family);
     DynamicGraph dg(make_family(family, 5));
     IncrementalSpanner inc(dg, cfg);
@@ -133,7 +133,7 @@ TEST(IncrementalSpanner, DirtySetIsSupersetOfChangedTrees) {
 }
 
 TEST(IncrementalSpanner, RefcountsEqualOwningTreeCounts) {
-  const IncrementalConfig cfg = IncrementalConfig::k_connecting(1);
+  const TreeRule cfg = TreeRule::k_connecting(1);
   Rng rng(99);
   DynamicGraph dg(make_family(0, 9));
   IncrementalSpanner inc(dg, cfg);
@@ -159,7 +159,7 @@ TEST(IncrementalSpanner, RefcountsEqualOwningTreeCounts) {
 
 TEST(IncrementalSpanner, NoOpAndEmptyBatchesLeaveSpannerUntouched) {
   DynamicGraph dg(make_family(0, 3));
-  IncrementalSpanner inc(dg, IncrementalConfig::k_connecting(1));
+  IncrementalSpanner inc(dg, TreeRule::k_connecting(1));
   const EdgeSet before = inc.spanner();
   ChurnBatchStats stats = inc.apply_batch({});
   EXPECT_EQ(stats.dirty_roots, 0u);
@@ -177,11 +177,11 @@ TEST(IncrementalSpanner, MaskedEdgeChurnBehindDownNodeIsInvisible) {
   // Storing/removing edges of a DOWN node never touches the live snapshot;
   // the spanner must not change until the node comes back.
   DynamicGraph dg(make_family(2, 4));
-  IncrementalSpanner inc(dg, IncrementalConfig::k_connecting(1));
+  IncrementalSpanner inc(dg, TreeRule::k_connecting(1));
   const NodeId v = 0;
   std::vector<GraphEvent> batch = {GraphEvent::node_down(v)};
   inc.apply_batch(batch);
-  EXPECT_EQ(inc.spanner(), inc.config().build_full(inc.graph()));
+  EXPECT_EQ(inc.spanner(), testsupport::scratch_spanner(inc.graph(), inc.rule()));
   const EdgeSet masked = inc.spanner();
   // Edge churn incident to the down node: stored-state changes, live no-ops.
   batch = {GraphEvent::edge_up(v, 5), GraphEvent::edge_up(v, 9), GraphEvent::edge_down(v, 5)};
@@ -193,7 +193,7 @@ TEST(IncrementalSpanner, MaskedEdgeChurnBehindDownNodeIsInvisible) {
   batch = {GraphEvent::node_up(v)};
   inc.apply_batch(batch);
   EXPECT_TRUE(inc.graph().has_edge(v, 9));
-  EXPECT_EQ(inc.spanner(), inc.config().build_full(inc.graph()));
+  EXPECT_EQ(inc.spanner(), testsupport::scratch_spanner(inc.graph(), inc.rule()));
 }
 
 TEST(IncrementalSpanner, ChurnTraceReplayStaysEquivalent) {
@@ -207,10 +207,10 @@ TEST(IncrementalSpanner, ChurnTraceReplayStaysEquivalent) {
   };
   for (const ChurnTrace& trace : traces) {
     DynamicGraph dg(trace.initial_graph());
-    IncrementalSpanner inc(dg, IncrementalConfig::k_connecting(1));
+    IncrementalSpanner inc(dg, TreeRule::k_connecting(1));
     for (const auto& batch : trace.batches) {
       inc.apply_batch(batch);
-      ASSERT_EQ(inc.spanner(), inc.config().build_full(inc.graph()));
+      ASSERT_EQ(inc.spanner(), testsupport::scratch_spanner(inc.graph(), inc.rule()));
     }
   }
 }
@@ -220,8 +220,8 @@ TEST(IncrementalSpanner, RemovalOnlyBatchExpandsOldSnapshotBallOnly) {
   // expansion only in the OLD snapshot (one bounded BFS), and that ball is
   // exactly what the engine marks dirty — still a superset of every
   // changed tree (bit-exactness is asserted on top).
-  for (const IncrementalConfig& cfg :
-       {IncrementalConfig::k_connecting(1), IncrementalConfig::low_stretch(0.5)}) {
+  for (const TreeRule& cfg :
+       {TreeRule::k_connecting(1), TreeRule::low_stretch(0.5)}) {
     Rng rng(17);
     DynamicGraph dg(make_family(0, 6));
     IncrementalSpanner inc(dg, cfg);
@@ -232,7 +232,7 @@ TEST(IncrementalSpanner, RemovalOnlyBatchExpandsOldSnapshotBallOnly) {
       batch.push_back(GraphEvent::edge_down(e.u, e.v));
     }
     inc.apply_batch(batch);
-    ASSERT_EQ(inc.spanner(), cfg.build_full(inc.graph()));
+    ASSERT_EQ(inc.spanner(), testsupport::scratch_spanner(inc.graph(), cfg));
 
     // Expected dirty set: ball of the removed endpoints at OLD distances.
     std::vector<NodeId> touched;
@@ -256,7 +256,7 @@ TEST(IncrementalSpanner, RemovalOnlyBatchExpandsOldSnapshotBallOnly) {
 }
 
 TEST(IncrementalSpanner, InsertionOnlyBatchExpandsNewSnapshotBallOnly) {
-  const IncrementalConfig cfg = IncrementalConfig::low_stretch(0.5);
+  const TreeRule cfg = TreeRule::low_stretch(0.5);
   DynamicGraph dg(make_family(1, 7));
   IncrementalSpanner inc(dg, cfg);
   const NodeId n = dg.num_nodes();
@@ -267,7 +267,7 @@ TEST(IncrementalSpanner, InsertionOnlyBatchExpandsNewSnapshotBallOnly) {
   ASSERT_FALSE(batch.empty());
   inc.apply_batch(batch);
   const auto new_graph = dg.snapshot();
-  ASSERT_EQ(inc.spanner(), cfg.build_full(*new_graph));
+  ASSERT_EQ(inc.spanner(), testsupport::scratch_spanner(*new_graph, cfg));
 
   std::vector<NodeId> touched;
   for (const auto& e : batch) {
@@ -292,7 +292,7 @@ TEST(IncrementalSpanner, AlternatingPureBatchesStayBitExactAndSuperset) {
   // Pure-removal and pure-insertion batches in alternation (each one takes
   // the single-BFS fast path) keep both core invariants: bit-exactness and
   // dirty-superset-of-changed-trees.
-  const IncrementalConfig cfg = IncrementalConfig::r_beta_tree(3, 1, TreeAlgorithm::kGreedy);
+  const TreeRule cfg = TreeRule::r_beta(3, 1, TreeAlgorithm::kGreedy);
   Rng rng(23);
   DynamicGraph dg(make_family(2, 11));
   IncrementalSpanner inc(dg, cfg);
@@ -313,7 +313,7 @@ TEST(IncrementalSpanner, AlternatingPureBatchesStayBitExactAndSuperset) {
       parked.clear();
     }
     inc.apply_batch(batch);
-    ASSERT_EQ(inc.spanner(), cfg.build_full(inc.graph())) << "step " << step;
+    ASSERT_EQ(inc.spanner(), testsupport::scratch_spanner(inc.graph(), cfg)) << "step " << step;
     const auto new_trees = all_trees(inc.graph(), cfg);
     const auto& dirty = inc.last_dirty_roots();
     for (NodeId u = 0; u < dg.num_nodes(); ++u) {
@@ -331,7 +331,7 @@ TEST(IncrementalSpanner, RefcountZeroRemovalSkipWouldBeUnsound) {
   // scans read non-tree edges, and removing one can flip a pick. This test
   // pins a counterexample so the conjecture is not "re-implemented" later:
   // it finds a refcount-0 edge whose removal changes some root's tree.
-  const IncrementalConfig cfg = IncrementalConfig::k_connecting(1);
+  const TreeRule cfg = TreeRule::k_connecting(1);
   bool counterexample_found = false;
   for (std::uint64_t seed = 1; seed <= 8 && !counterexample_found; ++seed) {
     Rng rng(seed);
@@ -359,7 +359,7 @@ TEST(IncrementalSpanner, LargeSingleBatchEqualsRebuild) {
   // (most roots go dirty; exercises the remap path under heavy turnover).
   Rng rng(31);
   DynamicGraph dg(make_family(1, 8));
-  IncrementalSpanner inc(dg, IncrementalConfig::k_connecting(1));
+  IncrementalSpanner inc(dg, TreeRule::k_connecting(1));
   std::vector<GraphEvent> batch;
   const Graph& g = inc.graph();
   for (EdgeId id = 0; id < g.num_edges(); id += 2) {
@@ -367,7 +367,7 @@ TEST(IncrementalSpanner, LargeSingleBatchEqualsRebuild) {
     batch.push_back(GraphEvent::edge_down(e.u, e.v));
   }
   inc.apply_batch(batch);
-  EXPECT_EQ(inc.spanner(), inc.config().build_full(inc.graph()));
+  EXPECT_EQ(inc.spanner(), testsupport::scratch_spanner(inc.graph(), inc.rule()));
 }
 
 }  // namespace

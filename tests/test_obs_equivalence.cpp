@@ -83,7 +83,7 @@ TEST(ObsEquivalence, IncrementalBatchesBitIdenticalWithSinksOn) {
   auto run = [](bool observed) {
     const Graph initial = test_graph(23);
     DynamicGraph dg(initial);
-    IncrementalSpanner inc(dg, IncrementalConfig::k_connecting(1));
+    IncrementalSpanner inc(dg, TreeRule::k_connecting(1));
     obs::Registry reg;
     obs::TraceBuffer buf;
     std::optional<obs::ScopedSinks> sinks;
@@ -110,9 +110,7 @@ TEST(ObsEquivalence, IncrementalBatchesBitIdenticalWithSinksOn) {
 
 TEST(ObsEquivalence, DistributedProtocolBitIdenticalWithSinksOn) {
   const Graph g = test_graph(37);
-  RemSpanConfig config;
-  config.kind = RemSpanConfig::Kind::kKConnGreedy;
-  config.k = 1;
+  const TreeRule config = TreeRule::k_connecting(1);
   // A lossy channel forces the reliable variant: retransmission, flooding
   // and per-round network hooks all fire.
   FaultConfig faults;

@@ -2,7 +2,7 @@
 // must produce the same spanner bit-for-bit and the same aggregate tree
 // stats whatever order it walks the roots in — id order, locality order,
 // reversed id order and a seeded shuffle — across the shared equivalence
-// corpus and all four tree algorithms. Every root's tree is a function of
+// corpus and all five tree rules. Every root's tree is a function of
 // (graph, root) alone and the union is a commutative OR, so root order is a
 // pure scheduling choice; this suite is what lets the front-ends pick the
 // locality order for speed. Also covered: locality_root_order itself, the
@@ -41,14 +41,14 @@ std::vector<std::vector<NodeId>> root_orders(const Graph& g, std::uint64_t seed)
 /// set and aggregate stats each time — and the same again from the
 /// front-end, which picks its own order.
 void expect_order_invariant(const Graph& g, const std::string& label,
-                            const TreeMaker& make_tree,
+                            const TreeRule& rule,
                             const std::function<EdgeSet(SpannerBuildInfo*)>& front_end) {
   const auto orders = root_orders(g, g.num_edges() + 17);
   SpannerBuildInfo ref_info;
-  const EdgeSet ref = union_of_trees(g, orders[0], make_tree, &ref_info);
+  const EdgeSet ref = union_of_trees(g, orders[0], rule, &ref_info);
   for (std::size_t i = 1; i < orders.size(); ++i) {
     SpannerBuildInfo info;
-    const EdgeSet got = union_of_trees(g, orders[i], make_tree, &info);
+    const EdgeSet got = union_of_trees(g, orders[i], rule, &info);
     const std::string at = label + " order=" + std::to_string(i);
     EXPECT_TRUE(got == ref) << at << ": spanner differs";
     EXPECT_EQ(info.sum_tree_edges, ref_info.sum_tree_edges) << at;
@@ -126,7 +126,6 @@ TEST(OrderInvariance, DriverVisitsEachRootOnceAcrossRebinds) {
   const Graph other = testsupport::equivalence_family(0, 6);  // same node count
   ASSERT_EQ(g.num_nodes(), other.num_nodes());
   TreeUnionDriver driver(g);
-  const auto make_tree = [](DomTreeBuilder& b, NodeId u) { return b.greedy_k(u, 1); };
   DomTreeBuilder reference(other);
   driver.rebind(other);
   // A subset with a gap, like a dirty batch: only its roots are visited,
@@ -136,7 +135,8 @@ TEST(OrderInvariance, DriverVisitsEachRootOnceAcrossRebinds) {
   std::vector<std::atomic<int>> visits(other.num_nodes());
   std::vector<std::size_t> tree_nodes(other.num_nodes(), 0);
   std::atomic<bool> worker_ok{true};
-  driver.run(roots, make_tree, [&](NodeId root, const RootedTree& tree, std::size_t worker) {
+  const TreeRule rule = TreeRule::k_connecting(1);
+  driver.run(roots, rule, [&](NodeId root, const RootedTree& tree, std::size_t worker) {
     visits[root].fetch_add(1);
     tree_nodes[root] = tree.num_nodes();
     if (worker >= driver.workers()) worker_ok = false;
@@ -160,7 +160,7 @@ TEST(OrderInvariance, GreedySpannersBitExactAcrossRootOrders) {
               g,
               "greedy family=" + std::to_string(which) + " seed=" + std::to_string(seed) +
                   " r=" + std::to_string(r) + " beta=" + std::to_string(beta),
-              [r, beta](DomTreeBuilder& b, NodeId u) { return b.greedy(u, r, beta); },
+              TreeRule::r_beta(r, beta, TreeAlgorithm::kGreedy),
               [&](SpannerBuildInfo* info) {
                 return build_remote_spanner(g, r, beta, TreeAlgorithm::kGreedy, info);
               });
@@ -179,7 +179,7 @@ TEST(OrderInvariance, MisSpannersBitExactAcrossRootOrders) {
             g,
             "mis family=" + std::to_string(which) + " seed=" + std::to_string(seed) +
                 " r=" + std::to_string(r),
-            [r](DomTreeBuilder& b, NodeId u) { return b.mis(u, r); },
+            TreeRule::r_beta(r, 1, TreeAlgorithm::kMis),
             [&](SpannerBuildInfo* info) {
               return build_remote_spanner(g, r, 1, TreeAlgorithm::kMis, info);
             });
@@ -197,7 +197,7 @@ TEST(OrderInvariance, GreedyKSpannersBitExactAcrossRootOrders) {
             g,
             "greedy_k family=" + std::to_string(which) + " seed=" + std::to_string(seed) +
                 " k=" + std::to_string(k),
-            [k](DomTreeBuilder& b, NodeId u) { return b.greedy_k(u, k); },
+            TreeRule::k_connecting(k),
             [&](SpannerBuildInfo* info) { return build_k_connecting_spanner(g, k, info); });
       }
     }
@@ -213,9 +213,20 @@ TEST(OrderInvariance, MisKSpannersBitExactAcrossRootOrders) {
             g,
             "mis_k family=" + std::to_string(which) + " seed=" + std::to_string(seed) +
                 " k=" + std::to_string(k),
-            [k](DomTreeBuilder& b, NodeId u) { return b.mis_k(u, k); },
+            TreeRule::two_connecting(k),
             [&](SpannerBuildInfo* info) { return build_2connecting_spanner(g, k, info); });
       }
+    }
+  }
+}
+
+TEST(OrderInvariance, MprSpannersBitExactAcrossRootOrders) {
+  for (int which = 0; which < testsupport::kNumEquivalenceFamilies; ++which) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      const Graph g = testsupport::equivalence_family(which, 9500 * seed + which);
+      expect_order_invariant(
+          g, "mpr family=" + std::to_string(which) + " seed=" + std::to_string(seed),
+          TreeRule::mpr(), [&](SpannerBuildInfo* info) { return olsr_mpr_spanner(g, info); });
     }
   }
 }
@@ -227,7 +238,7 @@ TEST(OrderInvariance, LowStretchUdgBitExactThroughFrontEnd) {
   const Graph g = testsupport::observability_graph(42);
   const Dist r = domination_radius_for_eps(0.5);
   expect_order_invariant(
-      g, "th1 udg", [r](DomTreeBuilder& b, NodeId u) { return b.mis(u, r); },
+      g, "th1 udg", TreeRule::r_beta(r, 1, TreeAlgorithm::kMis),
       [&](SpannerBuildInfo* info) {
         return build_low_stretch_remote_spanner(g, 0.5, TreeAlgorithm::kMis, info);
       });

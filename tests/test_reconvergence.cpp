@@ -4,7 +4,6 @@
 // global spanner — which in turn must equal the centralized construction.
 #include <gtest/gtest.h>
 
-#include "baseline/mpr.hpp"
 #include "core/remote_spanner.hpp"
 #include "dynamic/churn_trace.hpp"
 #include "geom/ball_graph.hpp"
@@ -12,37 +11,13 @@
 #include "graph/connectivity.hpp"
 #include "sim/reconvergence.hpp"
 #include "sim/remspan_protocol.hpp"
+#include "support/corpus.hpp"
 #include "util/rng.hpp"
 
 namespace remspan {
 namespace {
 
-RemSpanConfig make_config(RemSpanConfig::Kind kind, Dist r = 2, Dist beta = 1, Dist k = 1) {
-  RemSpanConfig cfg;
-  cfg.kind = kind;
-  cfg.r = r;
-  cfg.beta = beta;
-  cfg.k = k;
-  return cfg;
-}
-
-/// Centralized construction matching a protocol config — the ground truth
-/// every distributed run must union to.
-EdgeSet centralized(const Graph& g, const RemSpanConfig& cfg) {
-  switch (cfg.kind) {
-    case RemSpanConfig::Kind::kLowStretchGreedy:
-      return build_remote_spanner(g, cfg.r, cfg.beta, TreeAlgorithm::kGreedy);
-    case RemSpanConfig::Kind::kLowStretchMis:
-      return build_remote_spanner(g, cfg.r, 1, TreeAlgorithm::kMis);
-    case RemSpanConfig::Kind::kKConnGreedy:
-      return build_k_connecting_spanner(g, cfg.k);
-    case RemSpanConfig::Kind::kKConnMis:
-      return build_2connecting_spanner(g, cfg.k);
-    case RemSpanConfig::Kind::kOlsrMpr:
-      return olsr_mpr_spanner(g);
-  }
-  return EdgeSet(g);
-}
+using testsupport::scratch_spanner;
 
 /// Both strategies must agree on everything observable after each batch.
 void expect_same_converged_state(ReconvergenceSim& inc, ReconvergenceSim& ref,
@@ -57,13 +32,13 @@ void expect_same_converged_state(ReconvergenceSim& inc, ReconvergenceSim& ref,
   }
 }
 
-void replay_and_compare(const ChurnTrace& trace, const RemSpanConfig& cfg,
+void replay_and_compare(const ChurnTrace& trace, const TreeRule& cfg,
                         const std::string& label) {
   const Graph initial = trace.initial_graph();
   ReconvergenceSim inc(initial, cfg, ReconvergeStrategy::kIncremental);
   ReconvergenceSim ref(initial, cfg, ReconvergeStrategy::kFullReflood);
   expect_same_converged_state(inc, ref, label + " initial");
-  EXPECT_EQ(inc.spanner().edge_list(), centralized(initial, cfg).edge_list()) << label;
+  EXPECT_EQ(inc.spanner().edge_list(), scratch_spanner(initial, cfg).edge_list()) << label;
 
   for (std::size_t b = 0; b < trace.batches.size(); ++b) {
     const auto inc_stats = inc.apply_batch(trace.batches[b]);
@@ -72,7 +47,7 @@ void replay_and_compare(const ChurnTrace& trace, const RemSpanConfig& cfg,
     ASSERT_EQ(inc_stats.inserted_edges, ref_stats.inserted_edges) << context;
     ASSERT_EQ(inc_stats.removed_edges, ref_stats.removed_edges) << context;
     expect_same_converged_state(inc, ref, context);
-    EXPECT_EQ(inc.spanner().edge_list(), centralized(inc.graph(), cfg).edge_list()) << context;
+    EXPECT_EQ(inc.spanner().edge_list(), scratch_spanner(inc.graph(), cfg).edge_list()) << context;
     // Scoped re-advertisement can never cost more than the cold start.
     EXPECT_LE(inc_stats.transmissions, ref_stats.transmissions) << context;
     EXPECT_LE(inc_stats.advertising_nodes, ref_stats.advertising_nodes) << context;
@@ -83,26 +58,26 @@ TEST(Reconvergence, IncrementalMatchesRefloodOnRandomChurn) {
   Rng rng(11);
   const Graph g = connected_gnp(48, 0.12, rng);
   const ChurnTrace trace = random_edge_churn_trace(g, 6, 5, 0.2, 77);
-  replay_and_compare(trace, make_config(RemSpanConfig::Kind::kKConnGreedy), "gnp/kconn1");
-  replay_and_compare(trace, make_config(RemSpanConfig::Kind::kKConnMis, 2, 1, 2), "gnp/kconn-mis");
-  replay_and_compare(trace, make_config(RemSpanConfig::Kind::kOlsrMpr), "gnp/mpr");
+  replay_and_compare(trace, TreeRule::k_connecting(1), "gnp/kconn1");
+  replay_and_compare(trace, TreeRule::two_connecting(2), "gnp/kconn-mis");
+  replay_and_compare(trace, TreeRule::mpr(), "gnp/mpr");
 }
 
 TEST(Reconvergence, IncrementalMatchesRefloodOnMobility) {
   Rng rng(12);
   const auto gg = largest_component(uniform_unit_ball_graph(70, 4.0, 2, rng));
   const ChurnTrace trace = mobility_churn_trace(gg, 6, 2, 78);
-  replay_and_compare(trace, make_config(RemSpanConfig::Kind::kKConnGreedy), "udg/kconn1");
-  replay_and_compare(trace, make_config(RemSpanConfig::Kind::kLowStretchMis, 3), "udg/mis-r3");
-  replay_and_compare(trace, make_config(RemSpanConfig::Kind::kOlsrMpr), "udg/mpr");
+  replay_and_compare(trace, TreeRule::k_connecting(1), "udg/kconn1");
+  replay_and_compare(trace, TreeRule::r_beta(3, 1, TreeAlgorithm::kMis), "udg/mis-r3");
+  replay_and_compare(trace, TreeRule::mpr(), "udg/mpr");
 }
 
 TEST(Reconvergence, IncrementalMatchesRefloodOnRegionOutage) {
   Rng rng(13);
   const auto gg = largest_component(uniform_unit_ball_graph(70, 4.0, 2, rng));
   const ChurnTrace trace = region_outage_trace(gg, 3, 1.2, 79);
-  replay_and_compare(trace, make_config(RemSpanConfig::Kind::kKConnGreedy), "outage/kconn1");
-  replay_and_compare(trace, make_config(RemSpanConfig::Kind::kLowStretchGreedy, 3, 1),
+  replay_and_compare(trace, TreeRule::k_connecting(1), "outage/kconn1");
+  replay_and_compare(trace, TreeRule::r_beta(3, 1, TreeAlgorithm::kGreedy),
                      "outage/greedy-r3");
 }
 
@@ -111,7 +86,7 @@ TEST(Reconvergence, EmptyBatchCostsNothing) {
   const Graph g = connected_gnp(30, 0.15, rng);
   for (const auto strategy :
        {ReconvergeStrategy::kIncremental, ReconvergeStrategy::kFullReflood}) {
-    ReconvergenceSim sim(g, make_config(RemSpanConfig::Kind::kKConnGreedy), strategy);
+    ReconvergenceSim sim(g, TreeRule::k_connecting(1), strategy);
     const std::size_t before = sim.spanner().size();
 
     // Literally no events.
@@ -137,7 +112,7 @@ TEST(Reconvergence, RefloodBatchEqualsFreshDistributedRun) {
   // run of Algorithm RemSpan on the new snapshot.
   Rng rng(15);
   const Graph g = connected_gnp(40, 0.12, rng);
-  const RemSpanConfig cfg = make_config(RemSpanConfig::Kind::kKConnGreedy);
+  const TreeRule cfg = TreeRule::k_connecting(1);
   const ChurnTrace trace = random_edge_churn_trace(g, 4, 4, 0.0, 80);
 
   ReconvergenceSim sim(g, cfg, ReconvergeStrategy::kFullReflood);
@@ -159,7 +134,7 @@ TEST(Reconvergence, DeterministicStatsForFixedSeed) {
   Rng rng(16);
   const auto gg = largest_component(uniform_unit_ball_graph(60, 4.0, 2, rng));
   const ChurnTrace trace = mobility_churn_trace(gg, 5, 2, 81);
-  const RemSpanConfig cfg = make_config(RemSpanConfig::Kind::kKConnGreedy);
+  const TreeRule cfg = TreeRule::k_connecting(1);
 
   for (const auto strategy :
        {ReconvergeStrategy::kIncremental, ReconvergeStrategy::kFullReflood}) {
@@ -186,7 +161,7 @@ TEST(Reconvergence, LocalizedChurnAdvertisesLocally) {
   Rng rng(17);
   const auto gg = largest_component(uniform_unit_ball_graph(150, 7.0, 2, rng));
   const Graph& g = gg.graph;
-  const RemSpanConfig cfg = make_config(RemSpanConfig::Kind::kKConnGreedy);
+  const TreeRule cfg = TreeRule::k_connecting(1);
 
   ReconvergenceSim inc(g, cfg, ReconvergeStrategy::kIncremental);
   const Edge e = g.edges()[g.num_edges() / 2];
@@ -196,7 +171,7 @@ TEST(Reconvergence, LocalizedChurnAdvertisesLocally) {
   EXPECT_GT(stats.advertising_nodes, 0u);
   EXPECT_LT(stats.advertising_nodes, g.num_nodes() / 4);
   EXPECT_LT(stats.transmissions, inc.initial_stats().transmissions / 4);
-  EXPECT_EQ(inc.spanner().edge_list(), centralized(inc.graph(), cfg).edge_list());
+  EXPECT_EQ(inc.spanner().edge_list(), scratch_spanner(inc.graph(), cfg).edge_list());
 }
 
 TEST(Reconvergence, MprDistributedMatchesCentralizedUnion) {
@@ -204,13 +179,13 @@ TEST(Reconvergence, MprDistributedMatchesCentralizedUnion) {
   // must equal olsr_mpr_spanner on every snapshot.
   Rng rng(18);
   const Graph g = connected_gnp(45, 0.15, rng);
-  const RemSpanConfig cfg = make_config(RemSpanConfig::Kind::kOlsrMpr);
-  EXPECT_EQ(cfg.flood_scope(), 1u);
-  EXPECT_EQ(cfg.expected_rounds(), 3u);
+  const TreeRule cfg = TreeRule::mpr();
+  EXPECT_EQ(cfg.dirty_radius(), 1u);
+  EXPECT_EQ(expected_rounds(cfg), 3u);
 
   const auto fresh = run_remspan_distributed(g, cfg);
   EXPECT_EQ(fresh.spanner, olsr_mpr_spanner(g));
-  EXPECT_EQ(fresh.rounds, cfg.expected_rounds());
+  EXPECT_EQ(fresh.rounds, expected_rounds(cfg));
 }
 
 TEST(Reconvergence, LosslessRunsStopAtExactlyThePredictedRound) {
@@ -219,26 +194,26 @@ TEST(Reconvergence, LosslessRunsStopAtExactlyThePredictedRound) {
   // kLosslessRoundSlack in round_budget() is a hang guard, never consumed.
   Rng rng(21);
   const Graph g = connected_gnp(40, 0.15, rng);
-  const RemSpanConfig configs[] = {
-      make_config(RemSpanConfig::Kind::kKConnGreedy),
-      make_config(RemSpanConfig::Kind::kKConnMis, 2, 1, 2),
-      make_config(RemSpanConfig::Kind::kLowStretchGreedy, 3, 1),
-      make_config(RemSpanConfig::Kind::kLowStretchMis, 3),
-      make_config(RemSpanConfig::Kind::kOlsrMpr),
+  const TreeRule configs[] = {
+      TreeRule::k_connecting(1),
+      TreeRule::two_connecting(2),
+      TreeRule::r_beta(3, 1, TreeAlgorithm::kGreedy),
+      TreeRule::r_beta(3, 1, TreeAlgorithm::kMis),
+      TreeRule::mpr(),
   };
-  for (const RemSpanConfig& cfg : configs) {
-    ASSERT_GT(cfg.round_budget(), cfg.expected_rounds());  // slack, not schedule
+  for (const TreeRule& cfg : configs) {
+    ASSERT_GT(round_budget(cfg), expected_rounds(cfg));  // slack, not schedule
     const auto fresh = run_remspan_distributed(g, cfg);
-    EXPECT_EQ(fresh.rounds, cfg.expected_rounds()) << cfg.kind_name();
+    EXPECT_EQ(fresh.rounds, expected_rounds(cfg)) << cfg.name();
 
     // The churn driver's cold start follows the same exact schedule...
     ReconvergenceSim sim(g, cfg, ReconvergeStrategy::kIncremental);
-    EXPECT_EQ(sim.initial_stats().rounds, cfg.expected_rounds()) << cfg.kind_name();
+    EXPECT_EQ(sim.initial_stats().rounds, expected_rounds(cfg)) << cfg.name();
 
     // ...and so does every non-empty lossless batch.
     const Edge e = g.edges()[3];
     const GraphEvent down[] = {GraphEvent::edge_down(e.u, e.v)};
-    EXPECT_EQ(sim.apply_batch(down).rounds, cfg.expected_rounds()) << cfg.kind_name();
+    EXPECT_EQ(sim.apply_batch(down).rounds, expected_rounds(cfg)) << cfg.name();
   }
 }
 
@@ -247,7 +222,7 @@ TEST(Reconvergence, NodeOutageAndRecovery) {
   // protocol state must track both transitions exactly.
   Rng rng(19);
   const Graph g = connected_gnp(36, 0.15, rng);
-  const RemSpanConfig cfg = make_config(RemSpanConfig::Kind::kKConnGreedy);
+  const TreeRule cfg = TreeRule::k_connecting(1);
 
   ReconvergenceSim inc(g, cfg, ReconvergeStrategy::kIncremental);
   ReconvergenceSim ref(g, cfg, ReconvergeStrategy::kFullReflood);
@@ -257,14 +232,14 @@ TEST(Reconvergence, NodeOutageAndRecovery) {
   inc.apply_batch(down);
   ref.apply_batch(down);
   expect_same_converged_state(inc, ref, "node down");
-  EXPECT_EQ(inc.spanner().edge_list(), centralized(inc.graph(), cfg).edge_list());
+  EXPECT_EQ(inc.spanner().edge_list(), scratch_spanner(inc.graph(), cfg).edge_list());
   EXPECT_TRUE(inc.node_tree(victim).empty());
 
   const GraphEvent up[] = {GraphEvent::node_up(victim)};
   inc.apply_batch(up);
   ref.apply_batch(up);
   expect_same_converged_state(inc, ref, "node up");
-  EXPECT_EQ(inc.spanner().edge_list(), centralized(inc.graph(), cfg).edge_list());
+  EXPECT_EQ(inc.spanner().edge_list(), scratch_spanner(inc.graph(), cfg).edge_list());
 }
 
 }  // namespace

@@ -23,15 +23,6 @@
 namespace remspan {
 namespace {
 
-RemSpanConfig make_config(RemSpanConfig::Kind kind, Dist r = 2, Dist beta = 1, Dist k = 1) {
-  RemSpanConfig cfg;
-  cfg.kind = kind;
-  cfg.r = r;
-  cfg.beta = beta;
-  cfg.k = k;
-  return cfg;
-}
-
 FaultConfig iid_faults(double drop, std::uint32_t delay = 0, std::uint32_t jitter = 0,
                        std::uint64_t seed = 1) {
   FaultConfig f;
@@ -62,7 +53,7 @@ void expect_same_converged_state(ReconvergenceSim& lossy, ReconvergenceSim& loss
 /// Replays `trace` twice — over the faulted channel and over the lossless
 /// LOCAL channel — and asserts bit-exact converged state after the cold
 /// start and after every batch.
-void replay_and_compare_to_lossless(const ChurnTrace& trace, const RemSpanConfig& cfg,
+void replay_and_compare_to_lossless(const ChurnTrace& trace, const TreeRule& cfg,
                                     const FaultConfig& faults, const std::string& label,
                                     ReconvergeStrategy strategy = ReconvergeStrategy::kIncremental) {
   const Graph initial = trace.initial_graph();
@@ -88,15 +79,15 @@ TEST(ReconvergenceLoss, IidLossSweepConvergesBitExactOnThreeFamilies) {
   struct FamilyCase {
     std::string name;
     ChurnTrace trace;
-    RemSpanConfig cfg;
+    TreeRule cfg;
   };
   const FamilyCase families[] = {
       {"gnp", random_edge_churn_trace(gnp, 3, 4, 0.2, 101),
-       make_config(RemSpanConfig::Kind::kKConnGreedy)},
+       TreeRule::k_connecting(1)},
       {"udg", mobility_churn_trace(udg, 3, 2, 102),
-       make_config(RemSpanConfig::Kind::kKConnMis, 2, 1, 2)},
+       TreeRule::two_connecting(2)},
       {"grid", random_edge_churn_trace(grid, 3, 3, 0.0, 103),
-       make_config(RemSpanConfig::Kind::kLowStretchMis, 3)},
+       TreeRule::r_beta(3, 1, TreeAlgorithm::kMis)},
   };
   // p = 0 rides the lossless fast path (faulty() == false) and pins that a
   // zero config changes nothing; the positive rates exercise the reliable
@@ -116,7 +107,7 @@ TEST(ReconvergenceLoss, DelayJitterConvergesBitExact) {
   Rng rng(32);
   const Graph g = connected_gnp(44, 0.13, rng);
   const ChurnTrace trace = random_edge_churn_trace(g, 3, 4, 0.2, 104);
-  const RemSpanConfig cfg = make_config(RemSpanConfig::Kind::kKConnGreedy);
+  const TreeRule cfg = TreeRule::k_connecting(1);
   for (const std::uint32_t jitter : {0u, 1u, 3u}) {
     for (const double p : {0.05, 0.2, 0.5}) {
       replay_and_compare_to_lossless(
@@ -130,7 +121,7 @@ TEST(ReconvergenceLoss, GilbertElliottBurstLossConvergesBitExact) {
   Rng rng(33);
   const auto udg = largest_component(uniform_unit_ball_graph(55, 3.6, 2, rng));
   const ChurnTrace trace = mobility_churn_trace(udg, 3, 2, 105);
-  const RemSpanConfig cfg = make_config(RemSpanConfig::Kind::kKConnGreedy);
+  const TreeRule cfg = TreeRule::k_connecting(1);
   for (const auto& [loss, burst] : {std::pair{0.2, 4.0}, std::pair{0.5, 8.0}}) {
     FaultConfig faults;
     faults.link.burst = GilbertElliott::from_loss_and_burst(loss, burst);
@@ -148,7 +139,7 @@ TEST(ReconvergenceLoss, AdversarialPartitionWindowConvergesBitExact) {
   Rng rng(34);
   const Graph g = connected_gnp(40, 0.15, rng);
   const ChurnTrace trace = random_edge_churn_trace(g, 3, 4, 0.2, 106);
-  const RemSpanConfig cfg = make_config(RemSpanConfig::Kind::kKConnGreedy);
+  const TreeRule cfg = TreeRule::k_connecting(1);
 
   FaultConfig faults;
   PartitionWindow window;
@@ -172,7 +163,7 @@ TEST(ReconvergenceLoss, AdversarialKillAndAttritionConvergeBitExact) {
   Rng rng(35);
   const Graph g = connected_gnp(40, 0.15, rng);
   const ChurnTrace trace = random_edge_churn_trace(g, 3, 4, 0.2, 107);
-  const RemSpanConfig cfg = make_config(RemSpanConfig::Kind::kKConnGreedy);
+  const TreeRule cfg = TreeRule::k_connecting(1);
 
   FaultConfig faults;
   faults.link.kills.push_back(FloodKill{0, 0});
@@ -187,7 +178,7 @@ TEST(ReconvergenceLoss, FullRefloodStrategyAlsoConvergesUnderLoss) {
   Rng rng(36);
   const Graph g = connected_gnp(36, 0.15, rng);
   const ChurnTrace trace = random_edge_churn_trace(g, 2, 4, 0.2, 108);
-  replay_and_compare_to_lossless(trace, make_config(RemSpanConfig::Kind::kKConnGreedy),
+  replay_and_compare_to_lossless(trace, TreeRule::k_connecting(1),
                                  iid_faults(0.2, 0, 1, 11), "reflood p=0.2",
                                  ReconvergeStrategy::kFullReflood);
 }
@@ -199,7 +190,7 @@ TEST(ReconvergenceLoss, LossyRunsAreDeterministicForFixedSeed) {
   Rng rng(37);
   const auto udg = largest_component(uniform_unit_ball_graph(50, 3.6, 2, rng));
   const ChurnTrace trace = mobility_churn_trace(udg, 3, 2, 109);
-  const RemSpanConfig cfg = make_config(RemSpanConfig::Kind::kKConnGreedy);
+  const TreeRule cfg = TreeRule::k_connecting(1);
   const FaultConfig faults = iid_faults(0.3, 1, 2, 12);
 
   ReconvergenceSim a(udg.graph, cfg, ReconvergeStrategy::kIncremental, faults);
@@ -230,11 +221,11 @@ TEST(ReconvergenceLoss, LossCostsRoundsNotCorrectness) {
   // different spanner.
   Rng rng(38);
   const Graph g = connected_gnp(40, 0.15, rng);
-  const RemSpanConfig cfg = make_config(RemSpanConfig::Kind::kKConnGreedy);
+  const TreeRule cfg = TreeRule::k_connecting(1);
 
   ReconvergenceSim lossless(g, cfg, ReconvergeStrategy::kIncremental);
   ReconvergenceSim lossy(g, cfg, ReconvergeStrategy::kIncremental, iid_faults(0.3, 0, 0, 13));
-  EXPECT_EQ(lossless.initial_stats().rounds, cfg.expected_rounds());
+  EXPECT_EQ(lossless.initial_stats().rounds, expected_rounds(cfg));
   EXPECT_GT(lossy.initial_stats().rounds, lossless.initial_stats().rounds);
   EXPECT_GT(lossy.initial_stats().transmissions, lossless.initial_stats().transmissions);
   EXPECT_GT(lossy.initial_stats().drops, 0u);
@@ -246,16 +237,16 @@ TEST(ReconvergenceLoss, DistributedRunUnderLossMatchesLosslessSpanner) {
   // reliable variant of the node program must union to the identical spanner.
   Rng rng(39);
   const Graph g = connected_gnp(42, 0.14, rng);
-  for (const RemSpanConfig& cfg : {make_config(RemSpanConfig::Kind::kKConnGreedy),
-                                   make_config(RemSpanConfig::Kind::kLowStretchMis, 3),
-                                   make_config(RemSpanConfig::Kind::kOlsrMpr)}) {
+  for (const TreeRule& cfg : {TreeRule::k_connecting(1),
+                                   TreeRule::r_beta(3, 1, TreeAlgorithm::kMis),
+                                   TreeRule::mpr()}) {
     const auto lossless = run_remspan_distributed(g, cfg);
     for (const double p : {0.05, 0.3}) {
       const auto lossy = run_remspan_distributed(g, cfg, iid_faults(p, 0, 1, 14));
       EXPECT_EQ(lossy.spanner.edge_list(), lossless.spanner.edge_list())
-          << cfg.kind_name() << " p=" << p;
-      EXPECT_GE(lossy.rounds, lossless.rounds) << cfg.kind_name();
-      EXPECT_GT(lossy.stats.drops, 0u) << cfg.kind_name();
+          << cfg.name() << " p=" << p;
+      EXPECT_GE(lossy.rounds, lossless.rounds) << cfg.name();
+      EXPECT_GT(lossy.stats.drops, 0u) << cfg.name();
     }
   }
 }

@@ -35,9 +35,7 @@ TEST(RemSpanProtocol, KConnGreedyMatchesCentralized) {
   for (int which = 0; which < 4; ++which) {
     const Graph g = test_graph(which, 500 + static_cast<std::uint64_t>(which));
     for (const Dist k : {1u, 2u}) {
-      RemSpanConfig cfg;
-      cfg.kind = RemSpanConfig::Kind::kKConnGreedy;
-      cfg.k = k;
+      const TreeRule cfg = TreeRule::k_connecting(k);
       const auto dist = run_remspan_distributed(g, cfg);
       const EdgeSet central = build_k_connecting_spanner(g, k);
       EXPECT_EQ(dist.spanner, central) << "graph=" << which << " k=" << k;
@@ -48,9 +46,7 @@ TEST(RemSpanProtocol, KConnGreedyMatchesCentralized) {
 TEST(RemSpanProtocol, KConnMisMatchesCentralized) {
   for (int which = 0; which < 4; ++which) {
     const Graph g = test_graph(which, 600 + static_cast<std::uint64_t>(which));
-    RemSpanConfig cfg;
-    cfg.kind = RemSpanConfig::Kind::kKConnMis;
-    cfg.k = 2;
+    const TreeRule cfg = TreeRule::two_connecting(2);
     const auto dist = run_remspan_distributed(g, cfg);
     const EdgeSet central = build_2connecting_spanner(g, 2);
     EXPECT_EQ(dist.spanner, central) << "graph=" << which;
@@ -61,10 +57,7 @@ TEST(RemSpanProtocol, LowStretchGreedyMatchesCentralized) {
   for (int which = 0; which < 4; ++which) {
     const Graph g = test_graph(which, 700 + static_cast<std::uint64_t>(which));
     for (const Dist r : {2u, 3u}) {
-      RemSpanConfig cfg;
-      cfg.kind = RemSpanConfig::Kind::kLowStretchGreedy;
-      cfg.r = r;
-      cfg.beta = 1;
+      const TreeRule cfg = TreeRule::r_beta(r, 1, TreeAlgorithm::kGreedy);
       const auto dist = run_remspan_distributed(g, cfg);
       const EdgeSet central = build_remote_spanner(g, r, 1, TreeAlgorithm::kGreedy);
       EXPECT_EQ(dist.spanner, central) << "graph=" << which << " r=" << r;
@@ -75,9 +68,7 @@ TEST(RemSpanProtocol, LowStretchGreedyMatchesCentralized) {
 TEST(RemSpanProtocol, LowStretchMisMatchesCentralized) {
   for (int which = 0; which < 4; ++which) {
     const Graph g = test_graph(which, 800 + static_cast<std::uint64_t>(which));
-    RemSpanConfig cfg;
-    cfg.kind = RemSpanConfig::Kind::kLowStretchMis;
-    cfg.r = 3;
+    const TreeRule cfg = TreeRule::r_beta(3, 1, TreeAlgorithm::kMis);
     const auto dist = run_remspan_distributed(g, cfg);
     const EdgeSet central = build_remote_spanner(g, 3, 1, TreeAlgorithm::kMis);
     EXPECT_EQ(dist.spanner, central) << "graph=" << which;
@@ -89,20 +80,16 @@ TEST(RemSpanProtocol, RoundCountMatchesPaperFormula) {
   for (const NodeId n : {20u, 60u}) {
     const Graph g = cycle_graph(n);
     {
-      RemSpanConfig cfg;
-      cfg.kind = RemSpanConfig::Kind::kKConnGreedy;  // r=2, beta=0 -> 3 rounds
+      const TreeRule cfg = TreeRule::k_connecting(1);  // r=2, beta=0 -> 3 rounds
       const auto run = run_remspan_distributed(g, cfg);
       EXPECT_EQ(run.rounds, 3u) << "n=" << n;
-      EXPECT_EQ(run.rounds, cfg.expected_rounds());
+      EXPECT_EQ(run.rounds, expected_rounds(cfg));
     }
     {
-      RemSpanConfig cfg;
-      cfg.kind = RemSpanConfig::Kind::kLowStretchGreedy;  // 2r-1+2b
-      cfg.r = 4;
-      cfg.beta = 1;
+      const TreeRule cfg = TreeRule::r_beta(4, 1, TreeAlgorithm::kGreedy);  // 2r-1+2b
       const auto run = run_remspan_distributed(g, cfg);
       EXPECT_EQ(run.rounds, 2u * 4u - 1u + 2u) << "n=" << n;
-      EXPECT_EQ(run.rounds, cfg.expected_rounds());
+      EXPECT_EQ(run.rounds, expected_rounds(cfg));
     }
   }
 }
@@ -117,8 +104,7 @@ TEST(RemSpanProtocol, OneShotLosslessAccountingPinned) {
   const Graph g = largest_component(random_unit_disk_graph(6.0, 150.0, rng).graph);
   ASSERT_EQ(g.num_nodes(), 150u);
   struct Pinned {
-    RemSpanConfig::Kind kind;
-    Dist r, beta, k;
+    TreeRule rule;
     std::uint32_t rounds;
     std::uint64_t transmissions, receptions, payload_words;
     std::size_t spanner_edges;
@@ -126,23 +112,18 @@ TEST(RemSpanProtocol, OneShotLosslessAccountingPinned) {
   // Measured on the lossless one-shot schedule (HELLO, list flood, tree
   // flood).
   const std::vector<Pinned> pinned = {
-      {RemSpanConfig::Kind::kKConnGreedy, 2, 1, 1, 3, 450, 4692, 2506, 372},
-      {RemSpanConfig::Kind::kKConnGreedy, 2, 1, 2, 3, 450, 4692, 3214, 568},
-      {RemSpanConfig::Kind::kKConnMis, 2, 1, 2, 5, 3578, 40620, 56884, 627},
-      {RemSpanConfig::Kind::kLowStretchGreedy, 3, 1, 1, 7, 7774, 85290, 119633, 409},
-      {RemSpanConfig::Kind::kLowStretchMis, 3, 1, 1, 7, 7774, 85290, 135599, 427},
-      {RemSpanConfig::Kind::kOlsrMpr, 2, 1, 1, 3, 450, 4692, 2498, 382},
+      {TreeRule::k_connecting(1), 3, 450, 4692, 2506, 372},
+      {TreeRule::k_connecting(2), 3, 450, 4692, 3214, 568},
+      {TreeRule::two_connecting(2), 5, 3578, 40620, 56884, 627},
+      {TreeRule::r_beta(3, 1, TreeAlgorithm::kGreedy), 7, 7774, 85290, 119633, 409},
+      {TreeRule::r_beta(3, 1, TreeAlgorithm::kMis), 7, 7774, 85290, 135599, 427},
+      {TreeRule::mpr(), 3, 450, 4692, 2498, 382},
   };
   for (const Pinned& p : pinned) {
-    RemSpanConfig cfg;
-    cfg.kind = p.kind;
-    cfg.r = p.r;
-    cfg.beta = p.beta;
-    cfg.k = p.k;
-    const auto run = run_remspan_distributed(g, cfg);
-    const std::string label = std::string(cfg.kind_name()) + " k=" + std::to_string(p.k);
+    const auto run = run_remspan_distributed(g, p.rule);
+    const std::string label = std::string(p.rule.name()) + " k=" + std::to_string(p.rule.k);
     EXPECT_EQ(run.rounds, p.rounds) << label;
-    EXPECT_EQ(run.rounds, cfg.expected_rounds()) << label;
+    EXPECT_EQ(run.rounds, expected_rounds(p.rule)) << label;
     EXPECT_EQ(run.stats.rounds, run.rounds) << label;
     EXPECT_EQ(run.stats.transmissions, p.transmissions) << label;
     EXPECT_EQ(run.stats.receptions, p.receptions) << label;
@@ -156,10 +137,7 @@ TEST(RemSpanProtocol, TopologyKnowledgeIsLocal) {
   // With scope s, a node must only know neighbor lists of nodes within
   // distance s — the protocol is local, the paper's key selling point.
   const Graph g = path_graph(12);
-  RemSpanConfig cfg;
-  cfg.kind = RemSpanConfig::Kind::kLowStretchGreedy;
-  cfg.r = 3;
-  cfg.beta = 1;  // scope 3
+  const TreeRule cfg = TreeRule::r_beta(3, 1, TreeAlgorithm::kGreedy);  // scope 3
   const ReconvergenceSim sim(g, cfg, ReconvergeStrategy::kIncremental);
   // On a path, distance = id difference: node 0 holds exactly the lists of
   // origins 1..3 (its own list comes from link sensing).
@@ -174,8 +152,7 @@ TEST(RemSpanProtocol, MessageCountScalesWithScopeTimesN) {
   // budget on a cycle: hello (n) + 2 floods, each forwarded by every node
   // within distance s-1... measured empirically and stable.
   const Graph g = cycle_graph(30);
-  RemSpanConfig cfg;
-  cfg.kind = RemSpanConfig::Kind::kKConnGreedy;  // scope 1: no forwarding
+  const TreeRule cfg = TreeRule::k_connecting(1);  // scope 1: no forwarding
   const auto run = run_remspan_distributed(g, cfg);
   // hello 30 + neighbor lists 30 + trees 30 = 90 transmissions exactly.
   EXPECT_EQ(run.stats.transmissions, 90u);
@@ -183,9 +160,7 @@ TEST(RemSpanProtocol, MessageCountScalesWithScopeTimesN) {
 
 TEST(RemSpanProtocol, StretchOfDistributedResult) {
   const Graph g = test_graph(0, 900);
-  RemSpanConfig cfg;
-  cfg.kind = RemSpanConfig::Kind::kLowStretchMis;
-  cfg.r = 3;
+  const TreeRule cfg = TreeRule::r_beta(3, 1, TreeAlgorithm::kMis);
   const auto run = run_remspan_distributed(g, cfg);
   const Stretch s = stretch_for_radius(3);
   EXPECT_TRUE(check_remote_stretch(g, run.spanner, s).satisfied);
@@ -196,9 +171,7 @@ TEST(RemSpanProtocol, RestabilizesAfterTopologyChange) {
   // in OLSR terms): result equals centralized on g2.
   Rng rng(901);
   const Graph g2 = connected_gnp(30, 0.15, rng);
-  RemSpanConfig cfg;
-  cfg.kind = RemSpanConfig::Kind::kKConnGreedy;
-  cfg.k = 1;
+  const TreeRule cfg = TreeRule::k_connecting(1);
   const auto run2 = run_remspan_distributed(g2, cfg);
   EXPECT_EQ(run2.spanner, build_k_connecting_spanner(g2, 1));
 }

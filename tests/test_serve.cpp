@@ -223,6 +223,23 @@ TEST(ServeService, EpochsAreMonotoneAndJournalReplayIsBitExact) {
   EXPECT_EQ(stats.events_accepted, stats.events_coalesced + stats.events_applied);
 }
 
+TEST(ServeService, MprTenantEpochsMatchScratchBuilds) {
+  // The OLSR MPR union is a TreeRule like the theorem constructions, so it
+  // is served too: every published epoch equals a from-scratch build.
+  const Graph g = churn_family(2, 4);
+  SpannerService service(sync_config());
+  const TenantId id = service.open_tenant(g, "mpr");
+  const ChurnTrace trace = random_edge_churn_trace(g, 6, 10, 0.1, 43);
+  for (const auto& batch : trace.batches) {
+    ASSERT_EQ(service.submit(id, batch), Admission::kAccepted);
+    service.flush(id);
+    const auto snap = service.snapshot(id);
+    EXPECT_EQ(snap->spanner().bits(), api::build_spanner(snap->graph(), "mpr").edges.bits())
+        << "epoch " << snap->epoch();
+  }
+  EXPECT_GT(service.snapshot(id)->epoch(), 0u);
+}
+
 TEST(ServeService, OldEpochSnapshotsSurviveLaterBatchesAndEviction) {
   const Graph g = churn_family(1, 3);
   SpannerService service(sync_config());
@@ -322,7 +339,7 @@ TEST(ServeService, TenantCapacityAndUnknownIds) {
   EXPECT_THROW((void)service.open_tenant(g, "th2?k=1"), ServiceError);
   EXPECT_THROW((void)service.submit(kInvalidTenant, {}), ServiceError);
   EXPECT_THROW(service.close_tenant(kInvalidTenant), ServiceError);
-  EXPECT_THROW((void)service.open_tenant(g, "mpr"), api::SpecError);  // no incremental support
+  EXPECT_THROW((void)service.open_tenant(g, "full"), api::SpecError);  // no incremental support
 
   service.close_tenant(a);
   const TenantId c = service.open_tenant(g, "th2?k=1");  // slot freed

@@ -468,6 +468,22 @@ TEST(ThreadPool, PropagatesExceptions) {
                std::runtime_error);
 }
 
+TEST(ThreadPool, NestedParallelForCompletes) {
+  // Every worker of the outer loop issues an inner loop on the same pool;
+  // queueing helpers from there would wait on workers blocked the same way.
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> cells(64);
+  std::atomic<bool> ids_ok{true};
+  pool.parallel_for_workers(0, 8, [&](std::size_t i, std::size_t outer_worker) {
+    pool.parallel_for_workers(0, 8, [&](std::size_t j, std::size_t worker) {
+      if (worker != outer_worker) ids_ok = false;
+      cells[i * 8 + j].fetch_add(1);
+    });
+  });
+  for (const auto& c : cells) EXPECT_EQ(c.load(), 1);
+  EXPECT_TRUE(ids_ok.load());
+}
+
 TEST(ThreadPool, EmptyRangeNoop) {
   ThreadPool pool(2);
   bool called = false;
