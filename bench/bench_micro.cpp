@@ -6,7 +6,12 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <iostream>
+#include <numbers>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "obs/obs.hpp"
 #include "util/json_report.hpp"
@@ -18,6 +23,7 @@
 #include "graph/bfs.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/disjoint_paths.hpp"
+#include "graph/graphio.hpp"
 #include "util/bitset.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -183,6 +189,46 @@ void BM_DisjointPathsOracle(benchmark::State& state) {
 }
 BENCHMARK(BM_DisjointPathsOracle)->Unit(benchmark::kMillisecond);
 
+/// The static-build benchmark's ingest graph: a Poisson unit-disk graph of
+/// mean n = 10^5 at average degree 10 (m ~ 5 * 10^5), and its edge-list text.
+const GeometricGraph& ingest_udg() {
+  static const GeometricGraph gg = [] {
+    Rng rng(7);
+    return random_unit_disk_graph(std::sqrt(1e5 * std::numbers::pi / 10.0), 1e5, rng);
+  }();
+  return gg;
+}
+
+void BM_ReadEdgeList(benchmark::State& state) {
+  // The whole text load: block reads, parallel line parse, canonical-order
+  // check and the CSR fill.
+  const Graph& g = ingest_udg().graph;
+  std::ostringstream out;
+  write_edge_list(out, g);
+  const std::string text = out.str();
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::istringstream in(text);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(read_edge_list(in).num_edges());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * g.num_edges()));
+}
+BENCHMARK(BM_ReadEdgeList)->Unit(benchmark::kMillisecond);
+
+void BM_FromCanonicalEdges(benchmark::State& state) {
+  // The CSR fill alone: validate, count, and place every adjacency entry.
+  const Graph& g = ingest_udg().graph;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<Edge> edges(g.edges().begin(), g.edges().end());
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(Graph::from_canonical_edges(g.num_nodes(), std::move(edges)));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * g.num_edges()));
+}
+BENCHMARK(BM_FromCanonicalEdges)->Unit(benchmark::kMillisecond);
+
 void BM_ObsCounterHot(benchmark::State& state) {
   // Price of one counter bump with a registry installed — what the drained
   // per-call tallies pay per publish when a sink is live.
@@ -246,6 +292,7 @@ int main(int argc, char** argv) {
 
   remspan::BenchReport report("micro");
   report.param("workload", std::string("shared UDG side=7 mean_n=500 seed=77"));
+  report.param("ingest_workload", std::string("poisson UDG mean_n=1e5 degree=10 seed=7"));
   for (const auto& [key, seconds] : reporter.seconds_per_iteration) {
     report.value(key, seconds);
   }

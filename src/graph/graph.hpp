@@ -7,6 +7,8 @@
 // those ids, giving O(deg) iteration over "neighbors of u within H".
 #pragma once
 
+#include <memory>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -39,6 +41,30 @@ namespace detail {
 /// every downstream id; this throws CheckError up front instead
 /// (test_graph.cpp pins the failure mode).
 void check_graph_limits(std::size_t nodes, std::size_t edges);
+
+/// std::allocator whose value-less construct default-initialises, so
+/// resize() leaves trivial elements unwritten, for buffers whose slots are
+/// all written before they are read: the CSR fill writes every slot itself,
+/// in parallel, and is the first touch of each page; read_edge_list's block
+/// buffer touches only the bytes the stream delivers. Any construct with
+/// arguments falls through to std::construct_at.
+template <typename T>
+struct FillAllocator : std::allocator<T> {
+  FillAllocator() = default;
+  template <typename U>
+  FillAllocator(const FillAllocator<U>& /*other*/) noexcept {}
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
+/// Puts canonical edges (u < v, any order, duplicates allowed) into the
+/// canonical edge-list order: strictly increasing. A list already in that
+/// order (every generator's and every written edge list's) is only checked,
+/// in parallel; any other is sorted and deduplicated. GraphBuilder::build
+/// and read_edge_list share this step.
+void canonicalize(std::vector<Edge>& edges);
 }  // namespace detail
 
 /// Mutable accumulation of edges; build() produces the immutable CSR Graph.
@@ -64,7 +90,11 @@ class Graph {
   Graph() = default;
 
   /// Builds from a canonical, deduplicated, sorted edge list (GraphBuilder
-  /// takes care of that normalization).
+  /// takes care of that normalization); throws CheckError on a list that is
+  /// not. Large lists are checked and filled in parallel, one row range per
+  /// pool worker; lists under about 2^17 edges (and calls from inside a pool
+  /// body) run the same two passes inline on the caller. The CSR is the same
+  /// either way: edge ids are list positions and rows are sorted.
   static Graph from_canonical_edges(NodeId num_nodes, std::vector<Edge> edges);
 
   [[nodiscard]] NodeId num_nodes() const noexcept {
@@ -110,8 +140,8 @@ class Graph {
 
  private:
   std::vector<std::size_t> offsets_;
-  std::vector<NodeId> adj_;
-  std::vector<EdgeId> adj_edge_ids_;
+  std::vector<NodeId, detail::FillAllocator<NodeId>> adj_;
+  std::vector<EdgeId, detail::FillAllocator<EdgeId>> adj_edge_ids_;
   std::vector<Edge> edges_;
   Dist max_degree_ = 0;
 };

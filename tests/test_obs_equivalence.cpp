@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <numbers>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "dynamic/incremental_spanner.hpp"
 #include "geom/ball_graph.hpp"
 #include "graph/connectivity.hpp"
+#include "graph/graphio.hpp"
 #include "obs/obs.hpp"
 #include "support/corpus.hpp"
 #include "sim/remspan_protocol.hpp"
@@ -76,7 +80,56 @@ TEST(ObsEquivalence, GeneratorOutputBitIdenticalWithSinksOn) {
   for (const obs::TraceEvent& e : buf.events()) {
     if (e.ph == obs::kPhaseBegin) spans.emplace_back(e.name);
   }
-  EXPECT_EQ(spans, (std::vector<std::string>{"geom.unit_ball_graph", "geom.largest_component"}));
+  // The CSR build nests inside the generator span; this graph is one
+  // component, so largest_component returns it without a second build.
+  EXPECT_EQ(spans, (std::vector<std::string>{"geom.unit_ball_graph", "graph.from_canonical_edges",
+                                              "geom.largest_component"}));
+}
+
+TEST(ObsEquivalence, GraphIngestBitIdenticalWithSinksOn) {
+  // Large enough for several parse chunks and fill ranges.
+  Rng rng(29);
+  const double side = std::sqrt(40000.0 * std::numbers::pi / 10.0);
+  const Graph source = random_unit_disk_graph(side, 40000.0, rng).graph;
+  std::ostringstream out;
+  write_edge_list(out, source);
+  const std::string text = out.str();
+  const std::vector<Edge> edges(source.edges().begin(), source.edges().end());
+  const auto ingest = [&] {
+    std::istringstream in(text);
+    return std::pair{read_edge_list(in), Graph::from_canonical_edges(source.num_nodes(), edges)};
+  };
+  const auto same = [](const Graph& a, const Graph& b) {
+    if (a.num_nodes() != b.num_nodes() || a.max_degree() != b.max_degree() ||
+        !std::ranges::equal(a.edges(), b.edges())) {
+      return false;
+    }
+    for (NodeId u = 0; u < a.num_nodes(); ++u) {
+      if (!std::ranges::equal(a.neighbors(u), b.neighbors(u)) ||
+          !std::ranges::equal(a.incident_edges(u), b.incident_edges(u))) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const auto [plain_read, plain_fill] = ingest();
+
+  obs::Registry reg;
+  obs::TraceBuffer buf;
+  const obs::ScopedSinks sinks(&reg, &buf);
+  const auto [read, fill] = ingest();
+  EXPECT_TRUE(same(read, plain_read));
+  EXPECT_TRUE(same(fill, plain_fill));
+  EXPECT_TRUE(same(read, fill));
+  std::vector<std::string> spans;
+  for (const obs::TraceEvent& e : buf.events()) {
+    if (e.ph == obs::kPhaseBegin) spans.emplace_back(e.name);
+  }
+  EXPECT_EQ(spans, (std::vector<std::string>{"graph.read_edge_list", "graph.from_canonical_edges",
+                                              "graph.from_canonical_edges"}));
+  const std::uint64_t csr_bytes = (source.num_nodes() + 1) * sizeof(std::size_t) +
+                                  2 * source.num_edges() * (sizeof(NodeId) + sizeof(EdgeId));
+  EXPECT_EQ(reg.snapshot().counters.at("graph.csr_bytes"), 2 * csr_bytes);
 }
 
 TEST(ObsEquivalence, IncrementalBatchesBitIdenticalWithSinksOn) {
