@@ -8,6 +8,13 @@
 // and spanner quality over time — with the incremental result asserted
 // bit-exact against the rebuild at every sampled batch.
 //
+// Work-counter probe: a fixed sequence of 1-event batches (random link
+// toggles) on a degree-10 UDG of --probe-n nodes records the exact,
+// deterministic work of each batch — row/slot blocks copied on write,
+// BFS nodes expanded, refcount traffic. None of it may grow with n: a
+// batch costs its dirty balls. --probe-only runs just the probe and writes
+// BENCH_churn_probe.json (the n = 10^6 gate of the slow label).
+//
 // Scenarios (all at the same per-batch churn rate, default 1% of edges):
 //   mobility — a few nodes re-sample their position (geometric locality),
 //   outage   — correlated regional link failures + recovery (locality),
@@ -15,6 +22,9 @@
 //              where most of the graph goes dirty and the incremental
 //              engine degenerates to a rebuild plus bookkeeping).
 #include <cmath>
+#include <map>
+#include <numbers>
+#include <optional>
 
 #include "analysis/kconn_oracle.hpp"
 #include "api/registry.hpp"
@@ -22,6 +32,7 @@
 #include "dynamic/churn_trace.hpp"
 #include "dynamic/incremental_spanner.hpp"
 #include "graph/locality_order.hpp"
+#include "obs/metrics.hpp"
 
 using namespace remspan;
 using namespace remspan::bench;
@@ -81,6 +92,70 @@ ScenarioResult run_scenario(const std::string& name, const ChurnTrace& trace,
   return result;
 }
 
+/// Batches of the work-counter probe, one event each.
+constexpr std::size_t kProbeBatches = 8;
+
+struct ProbeResult {
+  std::size_t nodes = 0;
+  std::size_t edges = 0;
+  std::map<std::string, std::uint64_t> counters;  ///< summed over the batches
+  bool local = false;  ///< blocks copied within 3 per event (2 rows + 1 slot block)
+  double amortized_seconds = 0.0;
+};
+
+ProbeResult run_probe(std::size_t n, const TreeRule& rule, std::uint64_t seed) {
+  ProbeResult result;
+  Rng rng(seed);
+  const double side = std::sqrt(static_cast<double>(n) * std::numbers::pi / 10.0);
+  const GeometricGraph gg = largest_component(uniform_unit_ball_graph(n, side, 2, rng));
+  result.nodes = gg.graph.num_nodes();
+  result.edges = gg.graph.num_edges();
+  const ChurnTrace trace = random_edge_churn_trace(gg.graph, kProbeBatches, 1, 0.0, seed + 1);
+  DynamicGraph dg(gg.graph);
+  IncrementalSpanner inc(dg, rule);
+
+  // Counters are read as a delta, so an outer registry (REMSPAN_METRICS)
+  // keeps counting; without one, a local registry is installed.
+  obs::Registry local;
+  std::optional<obs::ScopedSinks> sinks;
+  if (obs::metrics() == nullptr) sinks.emplace(&local, nullptr);
+  obs::Registry& reg = *obs::metrics();
+  const obs::Snapshot before = reg.snapshot();
+  double seconds = 0.0;
+  for (const auto& batch : trace.batches) seconds += inc.apply_batch(batch).seconds;
+  const obs::Snapshot work = reg.snapshot().diff(before);
+  for (const char* key : {"dynamic.blocks_copied", "dynamic.bytes_copied", "bfs.nodes_expanded",
+                          "inc.dirty_roots", "inc.refcount_churn"}) {
+    const auto it = work.counters.find(key);
+    result.counters[key] = it == work.counters.end() ? 0 : it->second;
+  }
+  result.local = result.counters["dynamic.blocks_copied"] <= 3 * kProbeBatches;
+  result.amortized_seconds = seconds / static_cast<double>(kProbeBatches);
+  return result;
+}
+
+/// Prints the probe and records it as probe_* values.
+void report_probe(const ProbeResult& probe, std::size_t n, Report& report) {
+  std::cout << "\nwork-counter probe: " << kProbeBatches << " one-event batches on a UDG of n = "
+            << probe.nodes << ", m = " << probe.edges << " (requested " << n << ")\n";
+  Table table({"counter", "total", "per batch"});
+  for (const auto& [key, value] : probe.counters) {
+    table.add_row({key, std::to_string(value),
+                   format_double(static_cast<double>(value) / kProbeBatches, 1)});
+  }
+  table.print(std::cout);
+  std::cout << "amortized batch time " << format_double(1e3 * probe.amortized_seconds, 3)
+            << " ms (reported only: wall time is not gated)\n";
+  report.value("probe_nodes", probe.nodes);
+  report.value("probe_edges", probe.edges);
+  report.value("probe_blocks_copied", probe.counters.at("dynamic.blocks_copied"));
+  report.value("probe_bytes_copied", probe.counters.at("dynamic.bytes_copied"));
+  report.value("probe_nodes_expanded", probe.counters.at("bfs.nodes_expanded"));
+  report.value("probe_dirty_roots", probe.counters.at("inc.dirty_roots"));
+  report.value("probe_refcount_churn", probe.counters.at("inc.refcount_churn"));
+  report.value("probe_local", probe.local ? 1 : 0);
+}
+
 }  // namespace
 
 int bench_main(int argc, char** argv) {
@@ -92,14 +167,29 @@ int bench_main(int argc, char** argv) {
   const auto k = static_cast<Dist>(opts.get_int("k", 1));
   const auto rebuild_every = static_cast<std::size_t>(opts.get_int("rebuild-every", 8));
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
+  const auto probe_n = static_cast<std::size_t>(opts.get_int("probe-n", 100000));
+  const bool probe_only = opts.get_flag("probe-only");
   if (opts.help_requested()) {
     std::cout << opts.usage();
     return 0;
   }
   if (!opts.reject_unknown(std::cerr)) return 2;
 
+  const TreeRule rule = api::incremental_config(api::SpannerSpec::th2(k));
+  if (probe_only) {
+    Report report("churn_probe");
+    report.seed(seed);
+    report.param("probe_n", probe_n);
+    report.param("k", k);
+    const ProbeResult probe = run_probe(probe_n, rule, seed);
+    report_probe(probe, probe_n, report);
+    report.finish();
+    return 0;
+  }
+
   Report report("churn");
   report.seed(seed);
+  report.param("probe_n", probe_n);
   report.param("n", n);
   report.param("side", side);
   report.param("batches", batches);
@@ -121,7 +211,6 @@ int bench_main(int argc, char** argv) {
   report.value("nodes", g.num_nodes());
   report.value("initial_edges", m);
 
-  const TreeRule rule = api::incremental_config(api::SpannerSpec::th2(k));
   const auto movers = static_cast<std::size_t>(
       std::max(1.0, std::round(target_edges / (2.0 * g.average_degree()))));
   // Both endpoints must fall inside the outage disk, which shaves roughly
@@ -175,6 +264,7 @@ int bench_main(int argc, char** argv) {
                "concentrated, so the dirty set stays small — uniform random churn is\n"
                "the worst case by design.\n";
 
+  report_probe(run_probe(probe_n, rule, seed), probe_n, report);
   report.finish();
   return 0;
 }

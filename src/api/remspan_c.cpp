@@ -50,7 +50,7 @@ using api::c_detail::trap;
 bool same_topology(const Graph& a, const Graph& b) {
   if (&a == &b) return true;
   return a.num_nodes() == b.num_nodes() && a.num_edges() == b.num_edges() &&
-         std::equal(a.edges().begin(), a.edges().end(), b.edges().begin());
+         a.edge_list() == b.edge_list();
 }
 
 }  // namespace
@@ -166,7 +166,7 @@ size_t remspan_graph_edges(const remspan_graph_t* graph, uint32_t* endpoints,
                            size_t max_edges) {
   try {
     if (graph == nullptr || endpoints == nullptr) return 0;
-    return copy_edges(graph->graph->edges(), endpoints, max_edges);
+    return copy_edges(graph->graph->edge_list(), endpoints, max_edges);
   } catch (...) {
     return 0;
   }

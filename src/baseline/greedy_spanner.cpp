@@ -14,12 +14,11 @@ EdgeSet greedy_spanner(const Graph& g, double t) {
   EdgeSet h(g);
   const auto hop_budget = static_cast<Dist>(std::floor(t));
   BoundedBfs bfs(g.num_nodes());
-  for (EdgeId id = 0; id < g.num_edges(); ++id) {
-    const Edge& e = g.edge(id);
+  g.for_each_edge([&](const Edge& e, EdgeId id) {
     // Keep the edge iff H currently has no u-v path of <= t hops.
     bfs.run(SubgraphView(h), e.u, hop_budget);
     if (bfs.dist(e.v) == kUnreachable) h.insert(id);
-  }
+  });
   return h;
 }
 
@@ -54,12 +53,12 @@ double weighted_distance_within(const GeometricGraph& gg, const EdgeSet& h, Node
 }
 
 std::vector<EdgeId> edges_by_length(const GeometricGraph& gg) {
-  std::vector<EdgeId> order(gg.graph.num_edges());
-  for (EdgeId id = 0; id < order.size(); ++id) order[id] = id;
-  std::sort(order.begin(), order.end(), [&gg](EdgeId a, EdgeId b) {
-    const double la = gg.edge_length(gg.graph.edge(a));
-    const double lb = gg.edge_length(gg.graph.edge(b));
-    return la != lb ? la < lb : a < b;
+  // Ties keep the canonical edge order.
+  std::vector<EdgeId> order;
+  order.reserve(gg.graph.num_edges());
+  gg.graph.for_each_edge([&](const Edge& /*e*/, EdgeId id) { order.push_back(id); });
+  std::stable_sort(order.begin(), order.end(), [&gg](EdgeId a, EdgeId b) {
+    return gg.edge_length(gg.graph.edge(a)) < gg.edge_length(gg.graph.edge(b));
   });
   return order;
 }

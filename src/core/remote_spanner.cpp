@@ -101,7 +101,7 @@ EdgeSet union_of_trees(const Graph& g, std::span<const NodeId> roots,
                        const TreeRule& rule, SpannerBuildInfo* info) {
   obs::PhaseSpan span("core.union_of_trees");
   TreeUnionDriver driver(g);
-  AtomicBitset shared(g.num_edges());
+  AtomicBitset shared(g.edge_id_bound());
   // Per-worker reusable edge-id buffer, sized by the largest tree seen.
   std::vector<std::vector<EdgeId>> edge_ids(driver.workers());
 

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <unordered_set>
+
+#include "util/strnum.hpp"
 
 namespace remspan {
 
@@ -76,52 +80,105 @@ void write_churn_trace(std::ostream& out, const ChurnTrace& trace) {
   }
 }
 
+namespace {
+
+/// Line-oriented reader of the churn-trace text: every record is one line
+/// of blank-separated tokens, each parsed whole through util/strnum, so a
+/// sign, a suffix or an extra token is an error naming its line.
+class TraceLines {
+ public:
+  explicit TraceLines(std::istream& in) : in_(in) {}
+
+  /// The next non-blank line's tokens; `what` names the expected record.
+  std::vector<std::string_view> next(const char* what) {
+    while (std::getline(in_, line_)) {
+      ++line_no_;
+      std::vector<std::string_view> tokens = split_tokens(line_);
+      if (!tokens.empty()) return tokens;
+    }
+    fail(std::string("expected ") + what + ", got the end of the trace");
+  }
+
+  /// A `<tag> <count>` line.
+  std::uint64_t tagged_count(const char* tag) {
+    const auto tokens = next(tag);
+    if (tokens.size() != 2 || tokens[0] != tag) fail(std::string("expected '") + tag + " <count>'");
+    return number(tokens[1], std::numeric_limits<std::uint64_t>::max());
+  }
+
+  std::uint64_t number(std::string_view token, std::uint64_t max) {
+    const auto parsed = parse_full_uint(token, max);
+    if (!parsed) {
+      std::string what(token);
+      what += " is not a count or node id up to ";
+      what += std::to_string(max);
+      fail(what);
+    }
+    return *parsed;
+  }
+
+  [[noreturn]] void fail(const std::string& what) const {
+    throw CheckError("read_churn_trace: line " + std::to_string(line_no_) + ": " + what);
+  }
+
+ private:
+  std::istream& in_;
+  std::string line_;
+  std::size_t line_no_ = 0;
+};
+
+}  // namespace
+
 ChurnTrace read_churn_trace(std::istream& in) {
+  TraceLines lines(in);
   ChurnTrace trace;
-  std::string tag;
-  int trace_version = 0;
-  REMSPAN_CHECK(static_cast<bool>(in >> tag >> trace_version));
-  REMSPAN_CHECK(tag == "churntrace" && trace_version == 1);
-  std::size_t num_edges = 0;
-  REMSPAN_CHECK(static_cast<bool>(in >> tag >> trace.num_nodes) && tag == "nodes");
-  REMSPAN_CHECK(static_cast<bool>(in >> tag >> num_edges) && tag == "edges");
+  const auto header = lines.next("the header 'churntrace 1'");
+  if (header.size() != 2 || header[0] != "churntrace" || header[1] != "1") {
+    lines.fail("expected the header 'churntrace 1'");
+  }
+  // The node count sizes the replay's graph and DynamicGraph: check it
+  // against the id limit and the machine's memory before anything does.
+  const std::uint64_t nodes = lines.tagged_count("nodes");
+  try {
+    detail::check_node_budget(nodes, DynamicGraph::kBytesPerNode + sizeof(std::size_t));
+  } catch (const CheckError& e) {
+    lines.fail(e.what());
+  }
+  trace.num_nodes = static_cast<NodeId>(nodes);
+  const NodeId max_id = trace.num_nodes == 0 ? 0 : trace.num_nodes - 1;
+  const auto node = [&](std::string_view token) {
+    if (trace.num_nodes == 0) lines.fail("node id with 'nodes 0'");
+    return static_cast<NodeId>(lines.number(token, max_id));
+  };
   // Declared counts are untrusted: the vectors grow as entries are read, so
   // an oversized count ends in a CheckError at the short stream instead of
   // a huge up-front allocation.
-  for (std::size_t i = 0; i < num_edges; ++i) {
-    NodeId u = 0;
-    NodeId v = 0;
-    REMSPAN_CHECK(static_cast<bool>(in >> u >> v));
-    REMSPAN_CHECK(u < trace.num_nodes && v < trace.num_nodes && u != v);
+  const std::uint64_t num_edges = lines.tagged_count("edges");
+  for (std::uint64_t i = 0; i < num_edges; ++i) {
+    const auto tokens = lines.next("an edge '<u> <v>'");
+    if (tokens.size() != 2) lines.fail("expected an edge '<u> <v>'");
+    const NodeId u = node(tokens[0]);
+    const NodeId v = node(tokens[1]);
+    if (u == v) lines.fail("self-loop at node " + std::to_string(u));
     trace.initial_edges.push_back(make_edge(u, v));
   }
-  std::size_t num_batches = 0;
-  REMSPAN_CHECK(static_cast<bool>(in >> tag >> num_batches) && tag == "batches");
-  for (std::size_t b = 0; b < num_batches; ++b) {
-    std::size_t num_events = 0;
-    REMSPAN_CHECK(static_cast<bool>(in >> tag >> num_events) && tag == "batch");
+  const std::uint64_t num_batches = lines.tagged_count("batches");
+  for (std::uint64_t b = 0; b < num_batches; ++b) {
+    const std::uint64_t num_events = lines.tagged_count("batch");
     std::vector<GraphEvent>& batch = trace.batches.emplace_back();
-    for (std::size_t i = 0; i < num_events; ++i) {
-      std::string op;
-      NodeId u = 0;
-      REMSPAN_CHECK(static_cast<bool>(in >> op >> u));
-      REMSPAN_CHECK(u < trace.num_nodes);
-      if (op == "n+") {
-        batch.push_back(GraphEvent::node_up(u));
-        continue;
-      }
-      if (op == "n-") {
-        batch.push_back(GraphEvent::node_down(u));
-        continue;
-      }
-      NodeId v = 0;
-      REMSPAN_CHECK(static_cast<bool>(in >> v));
-      REMSPAN_CHECK(v < trace.num_nodes && u != v);
-      if (op == "e+") {
-        batch.push_back(GraphEvent::edge_up(u, v));
+    for (std::uint64_t i = 0; i < num_events; ++i) {
+      const auto tokens = lines.next("an event");
+      const std::string_view op = tokens[0];
+      if ((op == "n+" || op == "n-") && tokens.size() == 2) {
+        const NodeId u = node(tokens[1]);
+        batch.push_back(op == "n+" ? GraphEvent::node_up(u) : GraphEvent::node_down(u));
+      } else if ((op == "e+" || op == "e-") && tokens.size() == 3) {
+        const NodeId u = node(tokens[1]);
+        const NodeId v = node(tokens[2]);
+        if (u == v) lines.fail("self-loop at node " + std::to_string(u));
+        batch.push_back(op == "e+" ? GraphEvent::edge_up(u, v) : GraphEvent::edge_down(u, v));
       } else {
-        REMSPAN_CHECK(op == "e-");
-        batch.push_back(GraphEvent::edge_down(u, v));
+        lines.fail("expected an event 'e+ <u> <v>', 'e- <u> <v>', 'n+ <u>' or 'n- <u>'");
       }
     }
   }
@@ -150,7 +207,7 @@ ChurnTrace random_edge_churn_trace(const Graph& g, std::size_t num_batches,
         up[v] ^= 1;
         continue;
       }
-      const Edge e = g.edge(static_cast<EdgeId>(rng.uniform(g.num_edges())));
+      const Edge e = trace.initial_edges[rng.uniform(trace.initial_edges.size())];
       const std::uint64_t key = pack(e.u, e.v);
       if (down_edges.erase(key) > 0) {
         batch.push_back(GraphEvent::edge_up(e.u, e.v));

@@ -50,8 +50,11 @@ struct ChurnTrace {
 ///   e+ <u> <v> | e- <u> <v> | n+ <v> | n- <v>
 void write_churn_trace(std::ostream& out, const ChurnTrace& trace);
 
-/// Parses the write_churn_trace format; throws CheckError on malformed
-/// input.
+/// Parses the write_churn_trace format, one record per line; throws
+/// CheckError naming the line on malformed input: a sign, a suffix or an
+/// extra token, an id out of range, or a node count over the id limit or
+/// too large for the replay's per-node state to fit in physical memory
+/// (checked before anything is sized by it).
 [[nodiscard]] ChurnTrace read_churn_trace(std::istream& in);
 
 /// Uncorrelated link churn over g's edge set: `events_per_batch` events per

@@ -2,12 +2,22 @@
 
 #include <algorithm>
 
+#include "obs/obs.hpp"
+
 namespace remspan {
+
+/// A row block the working version copied: its rows' local offsets (one
+/// more than its row count), neighbors and slots.
+struct DynamicGraph::RowStore {
+  std::vector<std::size_t> off;
+  std::vector<NodeId> adj;
+  std::vector<EdgeId> ids;
+};
 
 namespace {
 
 /// Sorted-row insertion; returns false when already present.
-bool row_insert(std::vector<NodeId>& row, NodeId v) {
+bool sorted_insert(std::vector<NodeId>& row, NodeId v) {
   const auto it = std::lower_bound(row.begin(), row.end(), v);
   if (it != row.end() && *it == v) return false;
   row.insert(it, v);
@@ -15,27 +25,41 @@ bool row_insert(std::vector<NodeId>& row, NodeId v) {
 }
 
 /// Sorted-row erasure; returns false when absent.
-bool row_erase(std::vector<NodeId>& row, NodeId v) {
+bool sorted_erase(std::vector<NodeId>& row, NodeId v) {
   const auto it = std::lower_bound(row.begin(), row.end(), v);
   if (it == row.end() || *it != v) return false;
   row.erase(it);
   return true;
 }
 
+NodeId checked_node_count(NodeId num_nodes) {
+  detail::check_node_budget(num_nodes, DynamicGraph::kBytesPerNode);
+  return num_nodes;
+}
+
 }  // namespace
 
 DynamicGraph::DynamicGraph(NodeId num_nodes)
-    : n_(num_nodes), adj_(num_nodes), up_(num_nodes, 1) {}
+    : DynamicGraph(Graph::from_canonical_edges(checked_node_count(num_nodes), {})) {}
 
 DynamicGraph::DynamicGraph(const Graph& initial)
     : n_(initial.num_nodes()),
       adj_(initial.num_nodes()),
       up_(initial.num_nodes(), 1),
-      stored_edges_(initial.num_edges()) {
+      stored_edges_(initial.num_edges()),
+      work_(initial) {
   for (NodeId u = 0; u < n_; ++u) {
     const auto nbrs = initial.neighbors(u);
     adj_[u].assign(nbrs.begin(), nbrs.end());  // Graph rows are sorted
+    const std::size_t d = nbrs.size();
+    if (d >= degree_rows_.size()) degree_rows_.resize(d + 1, 0);
+    ++degree_rows_[d];
   }
+  work_.row_owners_.resize(work_.rows_.size());
+  work_.slot_owners_.resize(work_.slots_.size());
+  own_rows_.resize(work_.rows_.size());
+  own_slots_.resize(work_.slots_.size());
+  snapshot_ = std::make_shared<const Graph>(work_);
 }
 
 bool DynamicGraph::has_edge(NodeId a, NodeId b) const {
@@ -48,38 +72,200 @@ bool DynamicGraph::edge_live(const Edge& e) const {
          std::binary_search(adj_[e.u].begin(), adj_[e.u].end(), e.v);
 }
 
+void DynamicGraph::begin_edit() {
+  if (!published_) return;
+  for (const std::size_t b : own_row_list_) own_rows_[b].reset();
+  for (const std::size_t b : own_slot_list_) own_slots_[b].reset();
+  own_row_list_.clear();
+  own_slot_list_.clear();
+  free_slots_.insert(free_slots_.end(), freed_slots_.begin(), freed_slots_.end());
+  freed_slots_.clear();
+  published_ = false;
+}
+
+DynamicGraph::RowStore& DynamicGraph::own_row_block(std::size_t block) {
+  if (own_rows_[block] != nullptr) return *own_rows_[block];
+  const Graph::RowBlock view = work_.rows_[block];
+  const std::size_t first = block << Graph::kRowBlockShift;
+  const std::size_t rows = std::min<std::size_t>(Graph::kRowBlockRows, n_ - first);
+  const std::size_t lo = view.off[0];
+  const std::size_t hi = view.off[rows];
+  auto store = std::make_shared<RowStore>();
+  store->off.resize(rows + 1);
+  for (std::size_t r = 0; r <= rows; ++r) store->off[r] = view.off[r] - lo;
+  store->adj.assign(view.adj + lo, view.adj + hi);
+  store->ids.assign(view.ids + lo, view.ids + hi);
+  obs::count("dynamic.blocks_copied");
+  obs::count("dynamic.bytes_copied", (rows + 1) * sizeof(std::size_t) +
+                                         (hi - lo) * (sizeof(NodeId) + sizeof(EdgeId)));
+  work_.rows_[block] = Graph::RowBlock{store->off.data(), store->adj.data(), store->ids.data()};
+  work_.whole_ = Graph::RowBlock{};
+  work_.row_owners_[block] = store;
+  own_rows_[block] = store;
+  own_row_list_.push_back(block);
+  return *store;
+}
+
+DynamicGraph::SlotStore& DynamicGraph::own_slot_block(std::size_t block) {
+  if (block < own_slots_.size() && own_slots_[block] != nullptr) return *own_slots_[block];
+  // Slots below edge_id_bound() are backed in every block; the rest of a
+  // copied block starts as holes.
+  auto store = std::make_shared<SlotStore>(Graph::kSlotBlockSlots, Edge{});
+  const std::size_t first = block << Graph::kSlotBlockShift;
+  const std::size_t filled =
+      work_.edge_id_bound_ > first
+          ? std::min<std::size_t>(Graph::kSlotBlockSlots, work_.edge_id_bound_ - first)
+          : 0;
+  if (block == work_.slots_.size()) {
+    work_.slots_.push_back(nullptr);
+    work_.slot_owners_.emplace_back();
+    own_slots_.emplace_back();
+  }
+  std::copy_n(work_.slots_[block], filled, store->begin());
+  obs::count("dynamic.blocks_copied");
+  obs::count("dynamic.bytes_copied", Graph::kSlotBlockSlots * sizeof(Edge));
+  work_.slots_[block] = store->data();
+  work_.slot_owners_[block] = store;
+  own_slots_[block] = store;
+  own_slot_list_.push_back(block);
+  return *store;
+}
+
+void DynamicGraph::count_degree(Dist from, Dist to) {
+  --degree_rows_[from];
+  if (to >= degree_rows_.size()) degree_rows_.resize(std::size_t{to} + 1, 0);
+  ++degree_rows_[to];
+  Dist& top = work_.max_degree_;
+  top = std::max(top, to);
+  while (top > 0 && degree_rows_[top] == 0) --top;
+}
+
+void DynamicGraph::row_insert(NodeId x, NodeId neighbor, EdgeId slot) {
+  const std::size_t block = x >> Graph::kRowBlockShift;
+  const std::size_t r = x & (Graph::kRowBlockRows - 1);
+  RowStore& s = own_row_block(block);
+  const auto first = s.adj.begin() + static_cast<std::ptrdiff_t>(s.off[r]);
+  const auto last = s.adj.begin() + static_cast<std::ptrdiff_t>(s.off[r + 1]);
+  const auto pos = std::lower_bound(first, last, neighbor) - s.adj.begin();
+  s.adj.insert(s.adj.begin() + pos, neighbor);
+  s.ids.insert(s.ids.begin() + pos, slot);
+  for (std::size_t i = r + 1; i < s.off.size(); ++i) ++s.off[i];
+  work_.rows_[block] = Graph::RowBlock{s.off.data(), s.adj.data(), s.ids.data()};
+  const auto d = static_cast<Dist>(s.off[r + 1] - s.off[r]);
+  count_degree(d - 1, d);
+}
+
+void DynamicGraph::row_erase(NodeId x, NodeId neighbor) {
+  const std::size_t block = x >> Graph::kRowBlockShift;
+  const std::size_t r = x & (Graph::kRowBlockRows - 1);
+  RowStore& s = own_row_block(block);
+  const auto first = s.adj.begin() + static_cast<std::ptrdiff_t>(s.off[r]);
+  const auto last = s.adj.begin() + static_cast<std::ptrdiff_t>(s.off[r + 1]);
+  const auto it = std::lower_bound(first, last, neighbor);
+  REMSPAN_CHECK(it != last && *it == neighbor);
+  const auto pos = it - s.adj.begin();
+  s.adj.erase(it);
+  s.ids.erase(s.ids.begin() + pos);
+  for (std::size_t i = r + 1; i < s.off.size(); ++i) --s.off[i];
+  const auto d = static_cast<Dist>(s.off[r + 1] - s.off[r]);
+  count_degree(d + 1, d);
+}
+
+void DynamicGraph::set_slot(EdgeId slot, const Edge& e) {
+  own_slot_block(slot >> Graph::kSlotBlockShift)[slot & (Graph::kSlotBlockSlots - 1)] = e;
+}
+
+EdgeId DynamicGraph::take_slot() {
+  if (!free_slots_.empty()) {
+    const EdgeId slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
+  }
+  const std::size_t slot = work_.edge_id_bound_;
+  detail::check_graph_limits(n_, slot + 1);
+  own_slot_block(slot >> Graph::kSlotBlockShift);  // before the bound grows past it
+  ++work_.edge_id_bound_;
+  return static_cast<EdgeId>(slot);
+}
+
+void DynamicGraph::live_insert(NodeId a, NodeId b) {
+  const Edge e = make_edge(a, b);
+  // An edge live in the current snapshot that this batch removed gets its
+  // old slot back, so the snapshot's survivors keep their ids.
+  EdgeId slot = snapshot_->find_edge(e.u, e.v);
+  if (slot != kInvalidEdge) {
+    const auto freed = std::find(freed_slots_.begin(), freed_slots_.end(), slot);
+    REMSPAN_CHECK(freed != freed_slots_.end());
+    freed_slots_.erase(freed);
+  } else {
+    slot = take_slot();
+  }
+  row_insert(e.u, e.v, slot);
+  row_insert(e.v, e.u, slot);
+  set_slot(slot, e);
+  ++work_.num_edges_;
+  work_.canonical_ = false;
+}
+
+void DynamicGraph::live_remove(NodeId a, NodeId b) {
+  const Edge e = make_edge(a, b);
+  const EdgeId slot = work_.find_edge(e.u, e.v);
+  REMSPAN_CHECK(slot != kInvalidEdge);
+  row_erase(e.u, e.v);
+  row_erase(e.v, e.u);
+  set_slot(slot, Edge{});
+  --work_.num_edges_;
+  work_.canonical_ = false;
+  // A slot the current snapshot shows stays taken until the next one; a
+  // slot only this batch used is free again at once.
+  (snapshot_->find_edge(e.u, e.v) == slot ? freed_slots_ : free_slots_).push_back(slot);
+}
+
 bool DynamicGraph::apply(const GraphEvent& event) {
+  begin_edit();
   bool changed = false;
   switch (event.kind) {
     case GraphEventKind::kEdgeUp:
       REMSPAN_CHECK(event.u < n_ && event.v < n_ && event.u != event.v);
-      changed = row_insert(adj_[event.u], event.v);
+      changed = sorted_insert(adj_[event.u], event.v);
       if (changed) {
-        row_insert(adj_[event.v], event.u);
+        sorted_insert(adj_[event.v], event.u);
         ++stored_edges_;
         pending_edges_.push_back(make_edge(event.u, event.v));
+        if (up_[event.u] != 0 && up_[event.v] != 0) live_insert(event.u, event.v);
       }
       break;
     case GraphEventKind::kEdgeDown:
       REMSPAN_CHECK(event.u < n_ && event.v < n_ && event.u != event.v);
-      changed = row_erase(adj_[event.u], event.v);
+      changed = sorted_erase(adj_[event.u], event.v);
       if (changed) {
-        row_erase(adj_[event.v], event.u);
+        sorted_erase(adj_[event.v], event.u);
         --stored_edges_;
         pending_edges_.push_back(make_edge(event.u, event.v));
+        if (up_[event.u] != 0 && up_[event.v] != 0) live_remove(event.u, event.v);
       }
       break;
     case GraphEventKind::kNodeUp:
       REMSPAN_CHECK(event.u < n_);
       changed = up_[event.u] == 0;
-      up_[event.u] = 1;
-      if (changed) pending_nodes_.push_back(event.u);
+      if (changed) {
+        up_[event.u] = 1;
+        pending_nodes_.push_back(event.u);
+        for (const NodeId w : adj_[event.u]) {
+          if (up_[w] != 0) live_insert(event.u, w);
+        }
+      }
       break;
     case GraphEventKind::kNodeDown:
       REMSPAN_CHECK(event.u < n_);
       changed = up_[event.u] != 0;
-      up_[event.u] = 0;
-      if (changed) pending_nodes_.push_back(event.u);
+      if (changed) {
+        for (const NodeId w : adj_[event.u]) {
+          if (up_[w] != 0) live_remove(event.u, w);
+        }
+        up_[event.u] = 0;
+        pending_nodes_.push_back(event.u);
+      }
       break;
   }
   if (changed) ++version_;
@@ -93,74 +279,81 @@ std::size_t DynamicGraph::apply_all(std::span<const GraphEvent> events) {
 }
 
 std::shared_ptr<const Graph> DynamicGraph::snapshot() const {
-  if (snapshot_ && snapshot_version_ == version_) return snapshot_;
-  std::vector<Edge> live;
-  if (snapshot_ == nullptr) {
-    // First materialization: walk the (sorted) adjacency rows once. Taking
-    // each edge at its smaller endpoint yields canonical global order.
-    live.reserve(stored_edges_);
-    for (NodeId u = 0; u < n_; ++u) {
-      if (up_[u] == 0) continue;
-      for (const NodeId w : adj_[u]) {
-        if (w > u && up_[w] != 0) live.push_back(Edge{u, w});
-      }
-    }
-  } else {
-    // Merge-patch: only edges named by an event since the last snapshot
-    // (directly, or through a liveness toggle of an endpoint) can have
-    // changed live state; everything else carries over in order.
-    std::vector<Edge> candidates = std::move(pending_edges_);
-    for (const NodeId v : pending_nodes_) {
-      for (const NodeId w : adj_[v]) candidates.push_back(make_edge(v, w));
-    }
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
-
-    const auto old_edges = snapshot_->edges();
-    live.reserve(old_edges.size() + candidates.size());
-    std::size_t i = 0;
-    std::size_t j = 0;
-    while (i < old_edges.size() || j < candidates.size()) {
-      if (j == candidates.size() ||
-          (i < old_edges.size() && old_edges[i] < candidates[j])) {
-        live.push_back(old_edges[i]);
-        ++i;
-      } else {
-        const Edge e = candidates[j];
-        if (i < old_edges.size() && old_edges[i] == e) ++i;
-        if (edge_live(e)) live.push_back(e);
-        ++j;
-      }
+  if (snapshot_version_ == version_) return snapshot_;
+  // Only edges named by an event since the last snapshot (directly, or
+  // through a liveness toggle of an endpoint) can have changed live state;
+  // each one's slot in the snapshot and in the working version decides.
+  std::vector<Edge> candidates = std::move(pending_edges_);
+  for (const NodeId v : pending_nodes_) {
+    for (const NodeId w : adj_[v]) candidates.push_back(make_edge(v, w));
+  }
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
+  GraphDelta change;
+  for (const Edge& e : candidates) {
+    const EdgeId before = snapshot_->find_edge(e.u, e.v);
+    const EdgeId after = work_.find_edge(e.u, e.v);
+    if (before == after) continue;  // absent from both, or a survivor in its slot
+    REMSPAN_CHECK(before == kInvalidEdge || after == kInvalidEdge);
+    if (before != kInvalidEdge) {
+      change.removed.push_back(e);
+      change.removed_old_ids.push_back(before);
+    } else {
+      change.inserted.push_back(e);
+      change.inserted_new_ids.push_back(after);
     }
   }
   pending_edges_.clear();
   pending_nodes_.clear();
-  snapshot_ = std::make_shared<const Graph>(Graph::from_canonical_edges(n_, std::move(live)));
+  if (!change.empty()) {
+    snapshot_ = std::make_shared<const Graph>(work_);
+    published_ = true;
+  } else {
+    // Every edge this batch took out of the snapshot came back in its slot.
+    REMSPAN_CHECK(freed_slots_.empty());
+  }
+  change_ = std::move(change);
+  change_base_ = snapshot_version_;
   snapshot_version_ = version_;
   return snapshot_;
+}
+
+const GraphDelta* DynamicGraph::change_since(std::uint64_t version) const {
+  static const GraphDelta kNoChange;
+  (void)snapshot();
+  if (version == snapshot_version_) return &kNoChange;
+  return version == change_base_ ? &change_ : nullptr;
 }
 
 GraphDelta diff_graphs(const Graph& old_graph, const Graph& new_graph) {
   REMSPAN_CHECK(old_graph.num_nodes() == new_graph.num_nodes());
   GraphDelta delta;
-  delta.old_to_new.assign(old_graph.num_edges(), kInvalidEdge);
-  const auto old_edges = old_graph.edges();
-  const auto new_edges = new_graph.edges();
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < old_edges.size() || j < new_edges.size()) {
-    if (j == new_edges.size() || (i < old_edges.size() && old_edges[i] < new_edges[j])) {
-      delta.removed.push_back(old_edges[i]);
-      delta.removed_old_ids.push_back(static_cast<EdgeId>(i));
-      ++i;
-    } else if (i == old_edges.size() || new_edges[j] < old_edges[i]) {
-      delta.inserted.push_back(new_edges[j]);
-      delta.inserted_new_ids.push_back(static_cast<EdgeId>(j));
-      ++j;
-    } else {
-      delta.old_to_new[i] = static_cast<EdgeId>(j);
-      ++i;
-      ++j;
+  delta.old_to_new.assign(old_graph.edge_id_bound(), kInvalidEdge);
+  // Row u's neighbors above u, in both graphs, are the edges (u, w) in
+  // canonical order; merging them row by row walks both edge lists.
+  for (NodeId u = 0; u < old_graph.num_nodes(); ++u) {
+    const auto old_nbrs = old_graph.neighbors(u);
+    const auto old_ids = old_graph.incident_edges(u);
+    const auto new_nbrs = new_graph.neighbors(u);
+    const auto new_ids = new_graph.incident_edges(u);
+    auto i = static_cast<std::size_t>(
+        std::upper_bound(old_nbrs.begin(), old_nbrs.end(), u) - old_nbrs.begin());
+    auto j = static_cast<std::size_t>(
+        std::upper_bound(new_nbrs.begin(), new_nbrs.end(), u) - new_nbrs.begin());
+    while (i < old_nbrs.size() || j < new_nbrs.size()) {
+      if (j == new_nbrs.size() || (i < old_nbrs.size() && old_nbrs[i] < new_nbrs[j])) {
+        delta.removed.push_back(Edge{u, old_nbrs[i]});
+        delta.removed_old_ids.push_back(old_ids[i]);
+        ++i;
+      } else if (i == old_nbrs.size() || new_nbrs[j] < old_nbrs[i]) {
+        delta.inserted.push_back(Edge{u, new_nbrs[j]});
+        delta.inserted_new_ids.push_back(new_ids[j]);
+        ++j;
+      } else {
+        delta.old_to_new[old_ids[i]] = new_ids[j];
+        ++i;
+        ++j;
+      }
     }
   }
   return delta;

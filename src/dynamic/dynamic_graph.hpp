@@ -1,14 +1,19 @@
-// DynamicGraph: the mutable update layer under the immutable CSR Graph.
+// DynamicGraph: the mutable update layer under the immutable Graph.
 //
 // Remote-spanner workloads are never frozen: links fade, nodes move, radios
 // die. DynamicGraph keeps the evolving topology as a set of stored edges
 // over a fixed node universe plus a per-node liveness mask, and hands out
-// versioned immutable snapshots (ordinary Graph objects in canonical CSR
-// form) that the rest of the library — builders, oracles, benches — consumes
-// unchanged. diff_graphs() computes the exact edge delta between two
-// snapshots together with the old-id -> new-id mapping, which is what lets
-// IncrementalSpanner carry per-edge state (refcounts, spanner bits) across
-// snapshots whose edge ids shifted.
+// versioned immutable snapshots (ordinary Graph objects) that the rest of
+// the library — builders, oracles, benches — consumes unchanged.
+//
+// Snapshots are copy-on-write versions. Every live edge holds a slot (its
+// EdgeId) for as long as it stays live; a batch copies only the row blocks
+// and slot blocks it edits, and publishing a snapshot copies the block
+// tables and nothing else. Each snapshot comes with its change record (the
+// live edges it removed and inserted, with their slots), which is what
+// IncrementalSpanner, ReconvergenceSim and the service consume: per-edge
+// state (refcounts, spanner bits) is keyed by slot and needs no remap.
+// diff_graphs() stays as a row-walking utility for two arbitrary graphs.
 #pragma once
 
 #include <cstdint>
@@ -48,13 +53,43 @@ struct GraphEvent {
   friend bool operator==(const GraphEvent&, const GraphEvent&) = default;
 };
 
+/// The live-edge difference between two graphs of one node universe:
+/// DynamicGraph::last_change() (slots are stable, so old_to_new stays
+/// empty) and diff_graphs() (which also maps every surviving old id).
+struct GraphDelta {
+  std::vector<Edge> removed;              ///< in old, not in new (canonical order)
+  std::vector<EdgeId> removed_old_ids;    ///< parallel to removed
+  std::vector<Edge> inserted;             ///< in new, not in old (canonical order)
+  std::vector<EdgeId> inserted_new_ids;   ///< parallel to inserted
+  /// diff_graphs only: old edge id -> new edge id for surviving edges
+  /// (kInvalidEdge for removed ones and holes).
+  std::vector<EdgeId> old_to_new;
+
+  [[nodiscard]] bool empty() const noexcept { return removed.empty() && inserted.empty(); }
+};
+
 class DynamicGraph {
  public:
+  /// Bytes of per-node state a DynamicGraph(n) allocates: the stored row
+  /// header, the liveness byte and the empty snapshot's row offset.
+  static constexpr std::size_t kBytesPerNode =
+      sizeof(std::vector<NodeId>) + sizeof(std::uint8_t) + sizeof(std::size_t);
+
   /// Empty topology over a fixed node universe [0, num_nodes), all nodes up.
+  /// Throws CheckError, before allocating, when num_nodes is over the id
+  /// limit or its per-node state would not fit in physical memory.
   explicit DynamicGraph(NodeId num_nodes);
 
-  /// Adopts an existing graph as the initial topology (all nodes up).
+  /// Adopts an existing graph as the initial topology (all nodes up). The
+  /// first snapshot shares the graph's storage and its edge ids.
   explicit DynamicGraph(const Graph& initial);
+
+  /// Not copyable: the working version's private blocks are written in
+  /// place, so two copies would edit each other's topology. Movable.
+  DynamicGraph(const DynamicGraph&) = delete;
+  DynamicGraph& operator=(const DynamicGraph&) = delete;
+  DynamicGraph(DynamicGraph&&) = default;
+  DynamicGraph& operator=(DynamicGraph&&) = default;
 
   [[nodiscard]] NodeId num_nodes() const noexcept { return n_; }
 
@@ -80,26 +115,53 @@ class DynamicGraph {
   /// Applies one event. Returns whether the stored state changed (re-adding
   /// a present edge, dropping an absent one, and re-toggling liveness are
   /// all idempotent no-ops). Endpoints must be in range; edge events must
-  /// not be self-loops.
+  /// not be self-loops. A change to the live topology edits the working
+  /// version: the first edit of a row block or slot block since the last
+  /// snapshot copies that block.
   bool apply(const GraphEvent& event);
 
   /// Applies a batch in order; returns how many events changed state.
   std::size_t apply_all(std::span<const GraphEvent> events);
 
-  /// Immutable CSR snapshot of the live topology: stored edges whose two
-  /// endpoints are both up, in canonical order. The result is cached until
-  /// the next state change; the shared_ptr keeps a snapshot valid for as
-  /// long as any consumer (e.g. an EdgeSet over it) still holds it.
-  ///
-  /// Snapshots are maintained incrementally: the previous snapshot's
-  /// canonical edge list is merge-patched with the (typically small) set of
-  /// edges whose live state may have changed since, so taking a snapshot
-  /// after a batch of b updates costs O(m + b log b) with a tiny constant —
-  /// not a hash-iteration plus a full O(m log m) re-sort.
+  /// Immutable snapshot of the live topology: stored edges whose two
+  /// endpoints are both up. Cached until the next state change; the
+  /// shared_ptr keeps a snapshot valid for as long as any consumer (e.g. an
+  /// EdgeSet over it) still holds it, through any number of later batches.
+  /// Publishing a new version copies the block tables only, and a batch
+  /// whose net live change is empty publishes nothing: the previous
+  /// snapshot object is returned again.
   [[nodiscard]] std::shared_ptr<const Graph> snapshot() const;
 
+  /// The change record from the snapshot a consumer took at `version`
+  /// (the version() it read right after snapshot()) to the current
+  /// snapshot: the live edges removed, with the slots they held, and
+  /// inserted, with the slots they took, both in canonical order. An edge
+  /// live in both keeps its slot. Empty when that snapshot is the current
+  /// one; nullptr when it is older than the one before (diff_graphs then
+  /// gives the delta). A slot freed by one snapshot is reused no earlier
+  /// than the next one, so a consumer that retires the removed slots'
+  /// owners before it publishes never sees one slot hold two edges.
+  [[nodiscard]] const GraphDelta* change_since(std::uint64_t version) const;
+
  private:
+  struct RowStore;
+  using SlotStore = std::vector<Edge>;
+
   [[nodiscard]] bool edge_live(const Edge& e) const;
+  /// Live-topology edits of the working version.
+  void live_insert(NodeId a, NodeId b);
+  void live_remove(NodeId a, NodeId b);
+  void row_insert(NodeId x, NodeId neighbor, EdgeId slot);
+  void row_erase(NodeId x, NodeId neighbor);
+  void count_degree(Dist from, Dist to);
+  /// Starts a batch after a publish: blocks the published snapshot now
+  /// shares stop being private, and the slots it freed become free.
+  void begin_edit();
+  void set_slot(EdgeId slot, const Edge& e);
+  [[nodiscard]] EdgeId take_slot();
+  /// The working version's private copy of a block (copied on first use).
+  RowStore& own_row_block(std::size_t block);
+  SlotStore& own_slot_block(std::size_t block);
 
   NodeId n_ = 0;
   /// Stored adjacency (sorted rows), liveness-agnostic.
@@ -107,29 +169,38 @@ class DynamicGraph {
   std::vector<std::uint8_t> up_;
   std::size_t stored_edges_ = 0;
   std::uint64_t version_ = 0;
+
+  /// The working version: the current snapshot plus this batch's edits.
+  /// Blocks listed in own_rows_ / own_slots_ are private to it; every
+  /// other block is shared with published snapshots and is never written.
+  Graph work_;
+  std::vector<std::shared_ptr<RowStore>> own_rows_;
+  std::vector<std::shared_ptr<SlotStore>> own_slots_;
+  std::vector<std::size_t> own_row_list_;
+  std::vector<std::size_t> own_slot_list_;
+  /// Number of rows of each degree in work_, for its max_degree.
+  std::vector<std::size_t> degree_rows_;
+  /// Slots free for this batch, and slots this batch freed (free from the
+  /// next snapshot on).
+  std::vector<EdgeId> free_slots_;
+  std::vector<EdgeId> freed_slots_;
+
   /// Edges / nodes whose events arrived since the last materialized
-  /// snapshot — the merge-patch candidates (cleared by snapshot()).
+  /// snapshot — the candidates of its change record (cleared by snapshot()).
   mutable std::vector<Edge> pending_edges_;
   mutable std::vector<NodeId> pending_nodes_;
-  mutable std::uint64_t snapshot_version_ = ~std::uint64_t{0};
+  mutable std::uint64_t snapshot_version_ = 0;
   mutable std::shared_ptr<const Graph> snapshot_;
+  mutable GraphDelta change_;
+  mutable std::uint64_t change_base_ = 0;
+  /// Set when snapshot() publishes work_; begin_edit() clears it.
+  mutable bool published_ = false;
 };
 
-/// Exact delta between two canonical snapshots of the same node universe.
-struct GraphDelta {
-  std::vector<Edge> removed;              ///< in old, not in new
-  std::vector<EdgeId> removed_old_ids;    ///< parallel to removed
-  std::vector<Edge> inserted;             ///< in new, not in old
-  std::vector<EdgeId> inserted_new_ids;   ///< parallel to inserted
-  /// old edge id -> new edge id for surviving edges (kInvalidEdge for
-  /// removed ones). Carrying per-edge state across snapshots is one gather
-  /// through this table.
-  std::vector<EdgeId> old_to_new;
-
-  [[nodiscard]] bool empty() const noexcept { return removed.empty() && inserted.empty(); }
-};
-
-/// Merge-walks the two canonical edge lists in O(m_old + m_new).
+/// Exact live-edge delta between two graphs of one node universe, with the
+/// old -> new id map: merge-walks both graphs' rows in canonical order,
+/// O(n + m_old + m_new). Survivors are matched by node pair, whatever
+/// their ids.
 [[nodiscard]] GraphDelta diff_graphs(const Graph& old_graph, const Graph& new_graph);
 
 /// Sorted unique endpoints of every changed edge in the delta — the seed

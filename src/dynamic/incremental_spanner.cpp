@@ -1,11 +1,11 @@
 #include "dynamic/incremental_spanner.hpp"
 
+#include <algorithm>
 #include <atomic>
 
 #include "graph/locality_order.hpp"
 #include "graph/views.hpp"
 #include "obs/obs.hpp"
-#include "util/thread_pool.hpp"
 
 namespace remspan {
 
@@ -21,7 +21,16 @@ std::vector<NodeId> collect_dirty_roots_split(const Graph& old_graph, const Grap
                                               Dist radius, BoundedBfs& bfs,
                                               std::vector<std::uint8_t>& flag) {
   REMSPAN_CHECK(old_graph.num_nodes() == new_graph.num_nodes());
-  flag.assign(old_graph.num_nodes(), 0);
+  if (flag.size() != old_graph.num_nodes()) flag.assign(old_graph.num_nodes(), 0);
+  std::vector<NodeId> dirty;
+  const auto mark = [&](const std::vector<NodeId>& ball) {
+    for (const NodeId v : ball) {
+      if (flag[v] == 0) {
+        flag[v] = 1;
+        dirty.push_back(v);
+      }
+    }
+  };
   // Per-side expansion cost: how many nodes each dependency-ball sweep
   // visits is the telemetry that tells removal-heavy from insertion-heavy
   // batches apart (docs/OBSERVABILITY.md).
@@ -30,18 +39,16 @@ std::vector<NodeId> collect_dirty_roots_split(const Graph& old_graph, const Grap
     const std::vector<NodeId>& old_ball =
         bfs.run_multi(GraphView(old_graph), removed_touched, radius);
     if (m != nullptr) m->counter("inc.expand_old_nodes").add(old_ball.size());
-    for (const NodeId v : old_ball) flag[v] = 1;
+    mark(old_ball);
   }
   if (!inserted_touched.empty()) {
     const std::vector<NodeId>& new_ball =
         bfs.run_multi(GraphView(new_graph), inserted_touched, radius);
     if (m != nullptr) m->counter("inc.expand_new_nodes").add(new_ball.size());
-    for (const NodeId v : new_ball) flag[v] = 1;
+    mark(new_ball);
   }
-  std::vector<NodeId> dirty;
-  for (NodeId v = 0; v < flag.size(); ++v) {
-    if (flag[v] != 0) dirty.push_back(v);
-  }
+  for (const NodeId v : dirty) flag[v] = 0;
+  std::sort(dirty.begin(), dirty.end());
   return dirty;
 }
 
@@ -51,30 +58,41 @@ IncrementalSpanner::IncrementalSpanner(DynamicGraph& graph, TreeRule rule)
       graph_(graph.snapshot()),
       version_(graph.version()),
       trees_(graph_->num_nodes()),
-      ref_(graph_->num_edges(), 0),
+      ref_(graph_->edge_id_bound(), 0),
       spanner_(*graph_),
       driver_(*graph_),
-      dirty_flag_(graph.num_nodes(), 0),
       dirty_bfs_(graph.num_nodes()) {
   build_trees(locality_root_order(*graph_, kLocalityCluster));
-  rebuild_spanner_bits();
+  DynamicBitset bits(graph_->edge_id_bound());
+  for (EdgeId id = 0; id < ref_.size(); ++id) {
+    if (ref_[id] > 0) bits.set(id);
+  }
+  spanner_ = EdgeSet(*graph_, std::move(bits));
+  spanner_edges_ = spanner_.size();
+}
+
+std::vector<Edge> IncrementalSpanner::tree_edges(NodeId root) const {
+  REMSPAN_CHECK(root < trees_.size());
+  std::vector<Edge> out;
+  out.reserve(trees_[root].size());
+  for (const EdgeId id : trees_[root]) out.push_back(graph_->edge(id));
+  return out;
 }
 
 std::size_t IncrementalSpanner::build_trees(std::span<const NodeId> roots) {
   std::atomic<std::size_t> built{0};
   driver_.run(
       roots, rule_,
-      // record_tree: store the tree as canonical node pairs and bump the
-      // shared refcounts through its recorded parent-edge ids (valid in the
-      // graph the tree was built on).
+      // record_tree: store the tree's parent-edge slots and bump their
+      // shared refcounts.
       [&](NodeId root, const RootedTree& tree, std::size_t /*worker*/) {
-        std::vector<Edge>& out = trees_[root];
+        std::vector<EdgeId>& out = trees_[root];
         out.clear();
         for (const NodeId v : tree.nodes()) {
           if (v == tree.root()) continue;
-          out.push_back(make_edge(v, tree.parent(v)));
           const EdgeId id = tree.parent_edge(v);
           REMSPAN_CHECK(id != kInvalidEdge);
+          out.push_back(id);
           std::atomic_ref<std::uint32_t>(ref_[id]).fetch_add(1, std::memory_order_relaxed);
         }
         built.fetch_add(out.size(), std::memory_order_relaxed);
@@ -82,89 +100,120 @@ std::size_t IncrementalSpanner::build_trees(std::span<const NodeId> roots) {
   return built.load();
 }
 
-void IncrementalSpanner::rebuild_spanner_bits() {
-  DynamicBitset bits(graph_->num_edges());
-  for (EdgeId id = 0; id < ref_.size(); ++id) {
-    if (ref_[id] > 0) bits.set(id);
-  }
-  spanner_ = EdgeSet(*graph_, std::move(bits));
-}
-
 ChurnBatchStats IncrementalSpanner::apply_batch(std::span<const GraphEvent> events) {
   obs::PhaseSpan span("inc.apply_batch", "dynamic");
   ChurnBatchStats stats;
-  stats.applied_events = dynamic_->apply_all(events);
-  stats.version = dynamic_->version();
   dirty_.clear();
-
   const std::shared_ptr<const Graph> old_graph = graph_;
-  const std::shared_ptr<const Graph> new_graph = dynamic_->snapshot();
-  const GraphDelta delta = diff_graphs(*old_graph, *new_graph);
-  if (delta.empty()) {
+  std::shared_ptr<const Graph> new_graph;
+  // The change record since this engine's snapshot: the DynamicGraph's own
+  // when it starts there, else (the graph was snapshotted by someone else
+  // in between) a row diff. The diff matches survivors by node pair, so an
+  // edge that came back in another slot is retired and re-added here.
+  GraphDelta diffed;
+  const GraphDelta* delta = nullptr;
+  {
+    obs::PhaseSpan phase("dynamic.snapshot", "dynamic");
+    stats.applied_events = dynamic_->apply_all(events);
+    stats.version = dynamic_->version();
+    new_graph = dynamic_->snapshot();
+    delta = dynamic_->change_since(version_);
+    if (delta == nullptr) {
+      diffed = diff_graphs(*old_graph, *new_graph);
+      for (EdgeId id = 0; id < diffed.old_to_new.size(); ++id) {
+        const EdgeId moved = diffed.old_to_new[id];
+        if (moved == kInvalidEdge || moved == id) continue;
+        diffed.removed.push_back(old_graph->edge(id));
+        diffed.removed_old_ids.push_back(id);
+        diffed.inserted.push_back(new_graph->edge(moved));
+        diffed.inserted_new_ids.push_back(moved);
+      }
+      delta = &diffed;
+    }
+  }
+  version_ = stats.version;
+  if (delta->empty()) {
     // No live-topology change (all no-ops, or updates masked by down
-    // nodes): the spanner — and the old snapshot's id space — stand as-is.
-    stats.spanner_edges = spanner_.size();
+    // nodes): the spanner stands as-is, over the same slots.
+    if (new_graph != old_graph) {
+      graph_ = new_graph;
+      ref_.resize(graph_->edge_id_bound(), 0);
+      DynamicBitset bits = std::move(spanner_).release_bits();
+      bits.resize(graph_->edge_id_bound());
+      spanner_ = EdgeSet(*graph_, std::move(bits));
+      driver_.rebind(*graph_);
+    }
+    stats.spanner_edges = spanner_edges_;
     stats.seconds = span.seconds();
-    version_ = stats.version;
     if (obs::Registry* m = obs::metrics()) m->counter("inc.noop_batches").add(1);
     return stats;
   }
-  stats.removed_edges = delta.removed.size();
-  stats.inserted_edges = delta.inserted.size();
+  stats.removed_edges = delta->removed.size();
+  stats.inserted_edges = delta->inserted.size();
 
   // Dirty roots, one bounded BFS per side with a changed edge: removals
   // matter at OLD distances (the stored trees read them there), insertions
   // at NEW ones. A removal-only batch — the decremental fast path — costs
   // a single old-snapshot BFS and an insertion-only batch the mirror; see
   // collect_dirty_roots_split for why the per-side expansion stays exact.
-  const std::vector<NodeId> touched = touched_endpoints(delta);
-  stats.touched_nodes = touched.size();
-  dirty_ = collect_dirty_roots_split(*old_graph, *new_graph, removed_endpoints(delta),
-                                     inserted_endpoints(delta), rule_.dirty_radius(),
-                                     dirty_bfs_, dirty_flag_);
+  {
+    obs::PhaseSpan phase("inc.expand", "dynamic");
+    stats.touched_nodes = touched_endpoints(*delta).size();
+    dirty_ = collect_dirty_roots_split(*old_graph, *new_graph, removed_endpoints(*delta),
+                                       inserted_endpoints(*delta), rule_.dirty_radius(),
+                                       dirty_bfs_, dirty_flag_);
+  }
   stats.dirty_roots = dirty_.size();
 
-  // Phase 1 — retire: drop the dirty roots' old tree edges from the
-  // refcount union (still in the old snapshot's id space; the stored node
-  // pairs resolve through the old adjacency).
-  std::atomic<std::size_t> retired{0};
-  ThreadPool::global().parallel_for(0, dirty_.size(), [&](std::size_t i) {
-    const NodeId root = dirty_[i];
-    for (const Edge& e : trees_[root]) {
-      const EdgeId id = old_graph->find_edge(e.u, e.v);
-      REMSPAN_CHECK(id != kInvalidEdge);
-      std::atomic_ref<std::uint32_t>(ref_[id]).fetch_sub(1, std::memory_order_relaxed);
+  // Retire: drop the dirty roots' old tree edges from the refcount union;
+  // a slot whose count falls to 0 leaves the spanner. One pass over the
+  // retired edges, on the caller: it is a few decrements per dirty root.
+  DynamicBitset bits = std::move(spanner_).release_bits();
+  {
+    obs::PhaseSpan phase("inc.retire", "dynamic");
+    for (const NodeId root : dirty_) {
+      for (const EdgeId id : trees_[root]) {
+        if (--ref_[id] == 0) {
+          bits.reset(id);
+          --spanner_edges_;
+        }
+      }
+      stats.retired_tree_edges += trees_[root].size();
     }
-    retired.fetch_add(trees_[root].size(), std::memory_order_relaxed);
-  });
-  stats.retired_tree_edges = retired.load();
-
-  // Every tree is contained in its root's dirty ball, so a removed edge
-  // can only have been owned by dirty roots — all retired by now. A
-  // nonzero count here would mean the dirty set missed an owner.
-  for (const EdgeId old_id : delta.removed_old_ids) {
-    REMSPAN_CHECK(ref_[old_id] == 0);
+    // Every tree is contained in its root's dirty ball, so a removed edge
+    // can only have been owned by dirty roots — all retired by now. A
+    // nonzero count here would mean the dirty set missed an owner.
+    for (const EdgeId old_id : delta->removed_old_ids) {
+      REMSPAN_CHECK(ref_[old_id] == 0);
+    }
   }
 
-  // Phase 2 — remap the surviving refcounts into the new id space.
-  std::vector<std::uint32_t> new_ref(new_graph->num_edges(), 0);
-  for (EdgeId old_id = 0; old_id < ref_.size(); ++old_id) {
-    const EdgeId new_id = delta.old_to_new[old_id];
-    if (new_id != kInvalidEdge) new_ref[new_id] = ref_[old_id];
-  }
-  ref_ = std::move(new_ref);
-
-  // Phase 3 — rebuild the dirty roots' trees against the new snapshot with
-  // the persistent builders, re-adding their edges to the refcount union.
+  // Rebuild the dirty roots' trees against the new snapshot with the
+  // persistent builders, re-adding their edges to the refcount union.
   graph_ = new_graph;
-  version_ = stats.version;
-  driver_.rebind(*graph_);
-  stats.rebuilt_tree_edges = build_trees(dirty_);
+  ref_.resize(graph_->edge_id_bound(), 0);
+  bits.resize(graph_->edge_id_bound());
+  {
+    obs::PhaseSpan phase("inc.rebuild", "dynamic");
+    driver_.rebind(*graph_);
+    stats.rebuilt_tree_edges = build_trees(dirty_);
+  }
 
-  // Phase 4 — publish: the spanner is exactly the positively-refcounted
-  // edge set over the new snapshot.
-  rebuild_spanner_bits();
-  stats.spanner_edges = spanner_.size();
+  // Publish: every rebuilt tree edge has refcount > 0, so its bit is set
+  // (a slot whose count rose from 0 enters the spanner).
+  {
+    obs::PhaseSpan phase("inc.publish", "dynamic");
+    for (const NodeId root : dirty_) {
+      for (const EdgeId id : trees_[root]) {
+        if (!bits.test(id)) {
+          bits.set(id);
+          ++spanner_edges_;
+        }
+      }
+    }
+    spanner_ = EdgeSet(*graph_, std::move(bits));
+    stats.spanner_edges = spanner_edges_;
+  }
   stats.seconds = span.seconds();
   if (obs::Registry* m = obs::metrics()) {
     m->counter("inc.batches").add(1);

@@ -11,17 +11,20 @@
 // any TreeRule — the three theorem constructions and the OLSR MPR union
 // alike. Per batch of updates the engine
 //
-//   1. diffs the old and new snapshots (diff_graphs: exact edge delta plus
-//      the old-id -> new-id map),
+//   1. takes the new copy-on-write snapshot and its change record from the
+//      DynamicGraph (removed and inserted edges with their slots; an edge
+//      id is a slot that stays put while the edge is live, so per-edge
+//      state carries over with no remap),
 //   2. expands the dirty-root set with one multi-source bounded BFS of
 //      radius dirty_radius() from the touched endpoints in each snapshot,
 //   3. retires the dirty roots' old tree edges from a per-edge refcount
 //      union (refcount = how many roots' trees currently contain the edge),
-//      remaps the surviving refcounts into the new edge-id space,
 //   4. re-runs only the dirty roots' tree builds through the shared
 //      per-root driver (core/remote_spanner.hpp) and re-adds their edges,
 //      and
-//   5. re-derives the spanner bitset as {e : refcount[e] > 0}.
+//   5. flips the spanner bits of the slots whose refcount crossed 0.
+//
+// Every step costs the dirty balls and the batch, not O(n) or O(m).
 //
 // Equivalence guarantee: after every batch the maintained spanner is
 // bit-exact equal to a from-scratch build on the same snapshot
@@ -60,7 +63,9 @@ namespace remspan {
 /// @param radius     Ball radius of the expansion, in hops.
 /// @param bfs        Scratch BFS sized to the node universe (reused across
 ///                   batches to avoid reallocation).
-/// @param flag       Scratch per-node byte vector; resized/cleared inside.
+/// @param flag       Scratch per-node byte vector, empty or all zero: sized
+///                   to the node universe on first use and left all zero
+///                   (only the dirty entries are set and reset).
 /// @return           Dirty roots in increasing node-id order.
 [[nodiscard]] std::vector<NodeId> collect_dirty_roots(const Graph& old_graph,
                                                       const Graph& new_graph,
@@ -133,36 +138,35 @@ class IncrementalSpanner {
   /// roots whose trees actually changed — tests assert both directions.
   [[nodiscard]] const std::vector<NodeId>& last_dirty_roots() const noexcept { return dirty_; }
 
-  /// How many roots' trees currently contain edge `id` (current snapshot's
-  /// id space). The spanner contains exactly the edges with refcount > 0.
+  /// How many roots' trees currently contain edge `id` (a slot of the
+  /// current snapshot). The spanner contains exactly the edges with
+  /// refcount > 0.
   [[nodiscard]] std::uint32_t edge_refcount(EdgeId id) const {
     REMSPAN_CHECK(id < ref_.size());
     return ref_[id];
   }
 
   /// Current dominating-tree edges of `root` as canonical node pairs.
-  [[nodiscard]] const std::vector<Edge>& tree_edges(NodeId root) const {
-    REMSPAN_CHECK(root < trees_.size());
-    return trees_[root];
-  }
+  [[nodiscard]] std::vector<Edge> tree_edges(NodeId root) const;
 
  private:
   /// Builds `roots` against graph_ through driver_, recording each tree
   /// into trees_ and ref_; returns the number of tree edges added.
   std::size_t build_trees(std::span<const NodeId> roots);
-  void rebuild_spanner_bits();
 
   DynamicGraph* dynamic_;
   TreeRule rule_;
   std::shared_ptr<const Graph> graph_;
   std::uint64_t version_ = 0;
-  /// Per-root tree edges as node pairs: stable across snapshots, so clean
-  /// roots carry zero per-batch cost (edge ids would need remapping).
-  std::vector<std::vector<Edge>> trees_;
-  /// Per-edge tree refcount in the current snapshot's id space. Updated
-  /// concurrently (std::atomic_ref) during the retire/rebuild phases.
+  /// Per-root tree edges as slots: a live edge keeps its slot across
+  /// snapshots, so clean roots carry zero per-batch cost.
+  std::vector<std::vector<EdgeId>> trees_;
+  /// Per-slot tree refcount, sized to the snapshot's edge_id_bound().
+  /// Updated concurrently (std::atomic_ref) during the rebuild phase.
   std::vector<std::uint32_t> ref_;
   EdgeSet spanner_;
+  /// spanner_.size(), kept by the bit flips instead of a popcount per batch.
+  std::size_t spanner_edges_ = 0;
   TreeUnionDriver driver_;
   std::vector<NodeId> dirty_;
   std::vector<std::uint8_t> dirty_flag_;

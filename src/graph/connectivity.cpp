@@ -73,11 +73,11 @@ InducedSubgraph induced_subgraph(const Graph& g, const std::vector<NodeId>& keep
   }
   std::vector<Edge> edges;
   edges.reserve(g.num_edges());
-  for (const Edge& e : g.edges()) {
+  g.for_each_edge([&](const Edge& e, EdgeId /*id*/) {
     if (remap[e.u] != kInvalidNode && remap[e.v] != kInvalidNode) {
       edges.push_back(Edge{remap[e.u], remap[e.v]});
     }
-  }
+  });
   return InducedSubgraph{Graph::from_canonical_edges(static_cast<NodeId>(keep.size()),
                                                      std::move(edges)),
                          keep};

@@ -17,15 +17,21 @@ class EdgeSet {
  public:
   /// Empty subset (or the full edge set when all == true) of g. The Graph
   /// must outlive the EdgeSet.
-  explicit EdgeSet(const Graph& g, bool all = false)
-      : graph_(&g), bits_(g.num_edges(), all) {}
+  explicit EdgeSet(const Graph& g, bool all = false) : graph_(&g), bits_(g.edge_id_bound()) {
+    if (all) g.for_each_edge([&](const Edge& /*e*/, EdgeId id) { bits_.set(id); });
+  }
 
-  /// Adopts an already-built bitset over g's edge ids (one bit per edge).
+  /// Adopts an already-built bitset over g's edge ids (one bit per id below
+  /// g.edge_id_bound()).
   /// This is how the parallel spanner union turns its shared AtomicBitset
   /// snapshot into an EdgeSet without re-inserting every edge.
   EdgeSet(const Graph& g, DynamicBitset bits) : graph_(&g), bits_(std::move(bits)) {
-    REMSPAN_CHECK(bits_.size() == g.num_edges());
+    REMSPAN_CHECK(bits_.size() == g.edge_id_bound());
   }
+
+  /// Moves the bitset out, leaving the set without bits: the inverse of the
+  /// adopting constructor, for owners that patch bits across versions.
+  [[nodiscard]] DynamicBitset release_bits() && { return std::move(bits_); }
 
   [[nodiscard]] const Graph& graph() const noexcept { return *graph_; }
 
@@ -97,7 +103,9 @@ class EdgeSet {
   [[nodiscard]] std::vector<Edge> edge_list() const {
     std::vector<Edge> out;
     out.reserve(size());
-    bits_.for_each_set([&](std::size_t id) { out.push_back(graph_->edge(static_cast<EdgeId>(id))); });
+    graph_->for_each_edge([&](const Edge& e, EdgeId id) {
+      if (bits_.test(id)) out.push_back(e);
+    });
     return out;
   }
 

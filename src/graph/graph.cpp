@@ -1,6 +1,10 @@
 #include "graph/graph.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "obs/obs.hpp"
 #include "util/thread_pool.hpp"
@@ -48,6 +52,26 @@ void check_graph_limits(std::size_t nodes, std::size_t edges) {
   REMSPAN_CHECK(edges < kInvalidEdge);
 }
 
+std::size_t physical_memory_bytes() noexcept {
+  const long pages = sysconf(_SC_PHYS_PAGES);
+  const long page_size = sysconf(_SC_PAGESIZE);
+  if (pages <= 0 || page_size <= 0) return std::numeric_limits<std::size_t>::max();
+  return static_cast<std::size_t>(pages) * static_cast<std::size_t>(page_size);
+}
+
+void check_node_budget(std::size_t nodes, std::size_t bytes_per_node) {
+  if (nodes >= kInvalidNode) {
+    throw CheckError("n = " + std::to_string(nodes) + " is over the node-id limit");
+  }
+  const std::size_t bytes = (nodes + 1) * bytes_per_node;
+  const std::size_t physical = physical_memory_bytes();
+  if (bytes > physical) {
+    throw CheckError("n = " + std::to_string(nodes) + " needs " + std::to_string(bytes) +
+                     " bytes of per-node state, more than the machine's " +
+                     std::to_string(physical) + " bytes of physical memory");
+  }
+}
+
 void canonicalize(std::vector<Edge>& edges) {
   if (strictly_increasing(edges)) return;
   std::sort(edges.begin(), edges.end());  // Edge orders lexicographically: canonical order
@@ -72,12 +96,22 @@ Graph GraphBuilder::build() const {
   return Graph::from_canonical_edges(num_nodes_, std::move(edges));
 }
 
+/// The one contiguous CSR a from_canonical_edges graph reads.
+struct Graph::Store {
+  std::vector<std::size_t> offsets;
+  std::vector<NodeId, detail::FillAllocator<NodeId>> adj;
+  std::vector<EdgeId, detail::FillAllocator<EdgeId>> ids;
+  std::vector<Edge> edges;
+};
+
 Graph Graph::from_canonical_edges(NodeId num_nodes, std::vector<Edge> edges) {
   obs::PhaseSpan span("graph.from_canonical_edges", "graph");
   detail::check_graph_limits(num_nodes, edges.size());
   Graph g;
-  g.edges_ = std::move(edges);
-  const std::vector<Edge>& es = g.edges_;
+  auto store = std::make_shared<Store>();
+  Store& st = *store;
+  st.edges = std::move(edges);
+  const std::vector<Edge>& es = st.edges;
   const std::size_t n = num_nodes;
   const std::size_t m = es.size();
   const std::size_t ranges = range_count(m);
@@ -86,7 +120,7 @@ Graph Graph::from_canonical_edges(NodeId num_nodes, std::vector<Edge> edges) {
   // Pass 1, per range of n / ranges rows: validate the range's share of the
   // list, then scan the whole list counting the entries of its own rows, so
   // no two ranges write one count.
-  g.offsets_.assign(n + 1, 0);
+  st.offsets.assign(n + 1, 0);
   pool.parallel_for(0, ranges, [&](std::size_t r) {
     const std::size_t hi = m * (r + 1) / ranges;
     for (std::size_t i = m * r / ranges; i < hi; ++i) {
@@ -99,19 +133,19 @@ Graph Graph::from_canonical_edges(NodeId num_nodes, std::vector<Edge> edges) {
     const std::size_t lo_row = n * r / ranges;
     const std::size_t rows = n * (r + 1) / ranges - lo_row;
     for (const Edge& e : es) {
-      if (e.u - lo_row < rows) ++g.offsets_[e.u];
-      if (e.v - lo_row < rows) ++g.offsets_[e.v];
+      if (e.u - lo_row < rows) ++st.offsets[e.u];
+      if (e.v - lo_row < rows) ++st.offsets[e.v];
     }
   });
 
-  // Counts become row ends: offsets_[x] = one past row x's last slot.
+  // Counts become row ends: offsets[x] = one past row x's last slot.
   std::size_t end = 0;
   for (std::size_t x = 0; x < n; ++x) {
-    g.max_degree_ = std::max(g.max_degree_, static_cast<Dist>(g.offsets_[x]));
-    end += g.offsets_[x];
-    g.offsets_[x] = end;
+    g.max_degree_ = std::max(g.max_degree_, static_cast<Dist>(st.offsets[x]));
+    end += st.offsets[x];
+    st.offsets[x] = end;
   }
-  g.offsets_[n] = end;
+  st.offsets[n] = end;
 
   // Pass 2, over row ranges of about 2m / ranges slots each: range r owns
   // rows [row[r], row[r + 1]) and scans every edge with u below its last
@@ -119,26 +153,26 @@ Graph Graph::from_canonical_edges(NodeId num_nodes, std::vector<Edge> edges) {
   // row's incident edges in descending id are its forward edges (x, w), w
   // descending, then its backward edges (u, x), u descending (u < x puts
   // those first in the canonical order); so every row ends sorted by
-  // neighbor, with the ids of one forward scan, and offsets_[x] ends at row
+  // neighbor, with the ids of one forward scan, and offsets[x] ends at row
   // x's start. Only range r writes its rows' slots and offsets.
   std::vector<NodeId> row(ranges + 1, num_nodes);
   row[0] = 0;
   for (std::size_t r = 1; r < ranges; ++r) {
     row[r] = static_cast<NodeId>(
-        std::lower_bound(g.offsets_.begin(), g.offsets_.end() - 1, 2 * m * r / ranges) -
-        g.offsets_.begin());
+        std::lower_bound(st.offsets.begin(), st.offsets.end() - 1, 2 * m * r / ranges) -
+        st.offsets.begin());
   }
-  g.adj_.resize(2 * m);
-  g.adj_edge_ids_.resize(2 * m);
+  st.adj.resize(2 * m);
+  st.ids.resize(2 * m);
   pool.parallel_for(0, ranges, [&](std::size_t r) {
     const NodeId lo_row = row[r];
     const NodeId hi_row = row[r + 1];
     const auto below = std::partition_point(es.begin(), es.end(),
                                             [&](const Edge& e) { return e.u < hi_row; });
     const auto place = [&](NodeId x, NodeId neighbor, std::size_t id) {
-      const std::size_t slot = --g.offsets_[x];
-      g.adj_[slot] = neighbor;
-      g.adj_edge_ids_[slot] = static_cast<EdgeId>(id);
+      const std::size_t slot = --st.offsets[x];
+      st.adj[slot] = neighbor;
+      st.ids[slot] = static_cast<EdgeId>(id);
     };
     for (auto i = static_cast<std::size_t>(below - es.begin()); i-- > 0;) {
       const Edge e = es[i];
@@ -146,10 +180,37 @@ Graph Graph::from_canonical_edges(NodeId num_nodes, std::vector<Edge> edges) {
       if (e.v >= lo_row && e.v < hi_row) place(e.v, e.u, i);
     }
   });
-  obs::count("graph.csr_bytes", g.offsets_.size() * sizeof(std::size_t) +
-                                    g.adj_.size() * sizeof(NodeId) +
-                                    g.adj_edge_ids_.size() * sizeof(EdgeId));
+  obs::count("graph.csr_bytes", st.offsets.size() * sizeof(std::size_t) +
+                                    st.adj.size() * sizeof(NodeId) +
+                                    st.ids.size() * sizeof(EdgeId));
+  g.num_nodes_ = num_nodes;
+  g.num_edges_ = m;
+  g.edge_id_bound_ = m;
+  g.base_ = std::move(store);
+  g.index_base();
   return g;
+}
+
+void Graph::index_base() {
+  const Store& st = *base_;
+  rows_.resize((std::size_t{num_nodes_} + kRowBlockRows - 1) >> kRowBlockShift);
+  for (std::size_t b = 0; b < rows_.size(); ++b) {
+    rows_[b] = RowBlock{st.offsets.data() + (b << kRowBlockShift), st.adj.data(), st.ids.data()};
+  }
+  slots_.resize((st.edges.size() + kSlotBlockSlots - 1) >> kSlotBlockShift);
+  for (std::size_t j = 0; j < slots_.size(); ++j) {
+    slots_[j] = st.edges.data() + (j << kSlotBlockShift);
+  }
+  whole_ = RowBlock{st.offsets.data(), st.adj.data(), st.ids.data()};
+  base_edges_ = st.edges.data();
+  canonical_ = true;
+}
+
+std::vector<Edge> Graph::edge_list() const {
+  std::vector<Edge> out;
+  out.reserve(num_edges_);
+  for_each_edge([&](const Edge& e, EdgeId /*id*/) { out.push_back(e); });
+  return out;
 }
 
 EdgeId Graph::find_edge(NodeId a, NodeId b) const noexcept {

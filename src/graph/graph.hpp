@@ -1,12 +1,21 @@
-// Immutable undirected simple graph in CSR form.
+// Immutable undirected simple graph in CSR form, read through row blocks.
 //
 // Remote-spanner algorithms operate on an input graph G and select a subset
 // of its edges; the Graph therefore assigns every undirected edge a stable
-// EdgeId and exposes, for each adjacency slot, the id of the edge it
-// belongs to. EdgeSet (edge_set.hpp) represents spanners as bitsets over
-// those ids, giving O(deg) iteration over "neighbors of u within H".
+// EdgeId (its slot) and exposes, for each adjacency entry, the id of the
+// edge it belongs to. EdgeSet (edge_set.hpp) represents spanners as bitsets
+// over those ids, giving O(deg) iteration over "neighbors of u within H".
+//
+// Rows are grouped into fixed-size row blocks and the id -> Edge table into
+// slot blocks; a Graph reads both through flat tables of raw pointers. A
+// graph from from_canonical_edges points every entry into its one
+// contiguous CSR, with ids = canonical list positions. A DynamicGraph
+// snapshot is a copy-on-write version of the previous one: it shares every
+// block a batch did not touch, and an edge keeps its slot for as long as it
+// stays live, so ids never need remapping across versions.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <new>
 #include <span>
@@ -41,6 +50,14 @@ namespace detail {
 /// every downstream id; this throws CheckError up front instead
 /// (test_graph.cpp pins the failure mode).
 void check_graph_limits(std::size_t nodes, std::size_t edges);
+
+/// Physical memory of the machine in bytes (the largest value when unknown).
+[[nodiscard]] std::size_t physical_memory_bytes() noexcept;
+
+/// Checks a node count before anything is sized by it: within
+/// check_graph_limits, and nodes * bytes_per_node within physical memory.
+/// Throws CheckError naming both figures.
+void check_node_budget(std::size_t nodes, std::size_t bytes_per_node);
 
 /// std::allocator whose value-less construct default-initialises, so
 /// resize() leaves trivial elements unwritten, for buffers whose slots are
@@ -85,8 +102,31 @@ class GraphBuilder {
   std::vector<Edge> edges_;
 };
 
+class DynamicGraph;
+
 class Graph {
  public:
+  /// Rows per row block, 2^kRowBlockShift: the unit a DynamicGraph batch
+  /// copies when it rewrites one row (about 11 KB at degree 10). A
+  /// one-event batch's snapshot phase measured 0.06-0.08 ms at n = 5000 and
+  /// 0.06-0.09 ms at n = 10^6 with 128 rows; 64 rows cost 0.11-0.13 ms at
+  /// 10^6 (twice the table to copy), 256 rows up to 0.12 ms at 5000 (twice
+  /// the bytes per copy). Static graphs read their one CSR directly, so
+  /// their builds do not depend on it.
+  static constexpr unsigned kRowBlockShift = 7;
+  static constexpr NodeId kRowBlockRows = NodeId{1} << kRowBlockShift;
+  /// Slots per slot block of the id -> Edge table, 2^kSlotBlockShift.
+  static constexpr unsigned kSlotBlockShift = 10;
+  static constexpr EdgeId kSlotBlockSlots = EdgeId{1} << kSlotBlockShift;
+
+  /// Where one row block's rows live: row b * kRowBlockRows + r spans
+  /// adj[off[r], off[r + 1]) and ids[off[r], off[r + 1]).
+  struct RowBlock {
+    const std::size_t* off = nullptr;
+    const NodeId* adj = nullptr;
+    const EdgeId* ids = nullptr;
+  };
+
   Graph() = default;
 
   /// Builds from a canonical, deduplicated, sorted edge list (GraphBuilder
@@ -97,24 +137,41 @@ class Graph {
   /// either way: edge ids are list positions and rows are sorted.
   static Graph from_canonical_edges(NodeId num_nodes, std::vector<Edge> edges);
 
-  [[nodiscard]] NodeId num_nodes() const noexcept {
-    return static_cast<NodeId>(offsets_.empty() ? 0 : offsets_.size() - 1);
-  }
-  [[nodiscard]] std::size_t num_edges() const noexcept { return edges_.size(); }
+  [[nodiscard]] NodeId num_nodes() const noexcept { return num_nodes_; }
+
+  /// Live edges.
+  [[nodiscard]] std::size_t num_edges() const noexcept { return num_edges_; }
+
+  /// One past the largest edge id (slot) in use: the size of every per-edge
+  /// array (bitsets, refcounts). Equal to num_edges() for a graph built by
+  /// from_canonical_edges; a DynamicGraph snapshot may have holes, slots no
+  /// live edge holds.
+  [[nodiscard]] std::size_t edge_id_bound() const noexcept { return edge_id_bound_; }
+
+  /// Whether edge ids are the canonical list positions 0..m-1 (true for
+  /// every graph from from_canonical_edges and for a DynamicGraph snapshot
+  /// no batch has changed yet).
+  [[nodiscard]] bool canonical_ids() const noexcept { return canonical_; }
 
   /// Sorted neighbor list of u.
   [[nodiscard]] std::span<const NodeId> neighbors(NodeId u) const {
-    return {adj_.data() + offsets_[u], adj_.data() + offsets_[u + 1]};
+    std::size_t r = 0;
+    const RowBlock& b = block_of(u, r);
+    return {b.adj + b.off[r], b.adj + b.off[r + 1]};
   }
 
   /// Edge ids parallel to neighbors(u): incident_edges(u)[i] is the id of
   /// the edge {u, neighbors(u)[i]}.
   [[nodiscard]] std::span<const EdgeId> incident_edges(NodeId u) const {
-    return {adj_edge_ids_.data() + offsets_[u], adj_edge_ids_.data() + offsets_[u + 1]};
+    std::size_t r = 0;
+    const RowBlock& b = block_of(u, r);
+    return {b.ids + b.off[r], b.ids + b.off[r + 1]};
   }
 
   [[nodiscard]] Dist degree(NodeId u) const noexcept {
-    return static_cast<Dist>(offsets_[u + 1] - offsets_[u]);
+    std::size_t r = 0;
+    const RowBlock& b = block_of(u, r);
+    return static_cast<Dist>(b.off[r + 1] - b.off[r]);
   }
 
   /// Maximum degree Delta; the paper's approximation factors are stated in
@@ -128,8 +185,42 @@ class Graph {
   /// Id of edge {a,b}, or kInvalidEdge. O(log deg) by binary search.
   [[nodiscard]] EdgeId find_edge(NodeId a, NodeId b) const noexcept;
 
-  [[nodiscard]] const Edge& edge(EdgeId id) const noexcept { return edges_[id]; }
-  [[nodiscard]] std::span<const Edge> edges() const noexcept { return edges_; }
+  /// The edge in slot `id` (id < edge_id_bound()). A hole reads as
+  /// {kInvalidNode, kInvalidNode}.
+  [[nodiscard]] const Edge& edge(EdgeId id) const noexcept {
+    return slots_[id >> kSlotBlockShift][id & (kSlotBlockSlots - 1)];
+  }
+
+  /// The canonical edge list, indexed by id. Requires canonical_ids()
+  /// (throws CheckError on a snapshot a batch has changed: its slots are
+  /// not in canonical order and may have holes); for_each_edge and
+  /// edge_list serve every graph.
+  [[nodiscard]] std::span<const Edge> edges() const {
+    REMSPAN_CHECK(canonical_ids());
+    return {base_edges_, num_edges_};
+  }
+
+  /// Calls fn(edge, id) for every edge in canonical node-pair order: the
+  /// order edges() lists, on any graph (walking edges() where ids are
+  /// canonical, the rows otherwise).
+  template <typename Fn>
+  void for_each_edge(Fn&& fn) const {
+    if (canonical_) {
+      for (std::size_t id = 0; id < num_edges_; ++id) fn(base_edges_[id], static_cast<EdgeId>(id));
+      return;
+    }
+    for (NodeId u = 0; u < num_nodes_; ++u) {
+      const auto nbrs = neighbors(u);
+      const auto ids = incident_edges(u);
+      const auto first = std::upper_bound(nbrs.begin(), nbrs.end(), u) - nbrs.begin();
+      for (auto i = static_cast<std::size_t>(first); i < nbrs.size(); ++i) {
+        fn(Edge{u, nbrs[i]}, ids[i]);
+      }
+    }
+  }
+
+  /// The live edges in canonical order.
+  [[nodiscard]] std::vector<Edge> edge_list() const;
 
   /// Sum of degrees / n; handy for workload reporting.
   [[nodiscard]] double average_degree() const noexcept {
@@ -139,11 +230,45 @@ class Graph {
   }
 
  private:
-  std::vector<std::size_t> offsets_;
-  std::vector<NodeId, detail::FillAllocator<NodeId>> adj_;
-  std::vector<EdgeId, detail::FillAllocator<EdgeId>> adj_edge_ids_;
-  std::vector<Edge> edges_;
+  friend class DynamicGraph;
+  struct Store;
+
+  /// Points the row-block and slot-block tables into base_.
+  void index_base();
+
+  /// The block holding row u, and u's row index `r` in it. While the rows
+  /// are one contiguous CSR (every from_canonical_edges graph), that CSR
+  /// is read as a single block: the static hot path pays no table lookup.
+  [[nodiscard]] const RowBlock& block_of(NodeId u, std::size_t& r) const noexcept {
+    if (whole_.off != nullptr) {
+      r = u;
+      return whole_;
+    }
+    r = u & (kRowBlockRows - 1);
+    return rows_[u >> kRowBlockShift];
+  }
+
+  NodeId num_nodes_ = 0;
+  std::size_t num_edges_ = 0;
+  std::size_t edge_id_bound_ = 0;
   Dist max_degree_ = 0;
+  /// base_'s whole CSR as one block while no row has been copied, else
+  /// all null.
+  RowBlock whole_;
+  /// Flat tables: one entry per row block and one pointer per slot block.
+  /// No shared_ptr is touched on a read.
+  std::vector<RowBlock> rows_;
+  std::vector<const Edge*> slots_;
+  /// The one contiguous CSR of a from_canonical_edges graph. Copies share
+  /// it: a Graph's storage is immutable once built.
+  std::shared_ptr<const Store> base_;
+  /// base_'s edge list, listed by edges() while ids are canonical.
+  const Edge* base_edges_ = nullptr;
+  bool canonical_ = true;
+  /// Owners of the blocks a DynamicGraph copied, one per table entry;
+  /// empty, or nullptr where the entry points into base_.
+  std::vector<std::shared_ptr<const void>> row_owners_;
+  std::vector<std::shared_ptr<const void>> slot_owners_;
 };
 
 }  // namespace remspan

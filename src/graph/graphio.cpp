@@ -1,12 +1,9 @@
 #include "graph/graphio.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <charconv>
 #include <cstring>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -20,9 +17,7 @@ namespace remspan {
 
 void write_edge_list(std::ostream& out, const Graph& g) {
   out << "n " << g.num_nodes() << '\n';
-  for (const Edge& e : g.edges()) {
-    out << e.u << ' ' << e.v << '\n';
-  }
+  g.for_each_edge([&](const Edge& e, EdgeId /*id*/) { out << e.u << ' ' << e.v << '\n'; });
 }
 
 namespace {
@@ -69,14 +64,6 @@ bool take_id(std::string_view& rest, NodeId& out) noexcept {
   throw CheckError("read_edge_list: line " + std::to_string(line_no) + ": " + what);
 }
 
-/// Physical memory of the machine in bytes (the largest value when unknown).
-std::size_t physical_memory_bytes() noexcept {
-  const long pages = sysconf(_SC_PHYS_PAGES);
-  const long page_size = sysconf(_SC_PAGESIZE);
-  if (pages <= 0 || page_size <= 0) return std::numeric_limits<std::size_t>::max();
-  return static_cast<std::size_t>(pages) * static_cast<std::size_t>(page_size);
-}
-
 /// Checks a declared node count before anything is sized by it: it must fit
 /// the id types, and the graph's node offsets alone must fit in the
 /// machine's physical memory.
@@ -87,7 +74,7 @@ void check_declared_nodes(std::size_t line_no, NodeId n) {
     reject(line_no, "n = " + std::to_string(n) + " is over the node-id limit");
   }
   const std::size_t offsets_bytes = (std::size_t{n} + 1) * sizeof(std::size_t);
-  const std::size_t physical = physical_memory_bytes();
+  const std::size_t physical = detail::physical_memory_bytes();
   if (offsets_bytes > physical) {
     reject(line_no, "n = " + std::to_string(n) + " needs " + std::to_string(offsets_bytes) +
                         " bytes of node offsets, more than the machine's " +
@@ -238,8 +225,7 @@ std::string to_dot(const Graph& g, const EdgeSet* highlight, const std::string& 
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     out << "  " << v << ";\n";
   }
-  for (EdgeId id = 0; id < g.num_edges(); ++id) {
-    const Edge& e = g.edge(id);
+  g.for_each_edge([&](const Edge& e, EdgeId id) {
     out << "  " << e.u << " -- " << e.v;
     if (highlight != nullptr) {
       if (highlight->contains(id)) {
@@ -249,7 +235,7 @@ std::string to_dot(const Graph& g, const EdgeSet* highlight, const std::string& 
       }
     }
     out << ";\n";
-  }
+  });
   out << "}\n";
   return out.str();
 }

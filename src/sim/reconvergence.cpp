@@ -440,7 +440,12 @@ ReconvergeBatchStats ReconvergenceSim::apply_batch(std::span<const GraphEvent> e
 
   const std::shared_ptr<const Graph> old_graph = graph_;
   const std::shared_ptr<const Graph> new_graph = dynamic_.snapshot();
-  const GraphDelta delta = diff_graphs(*old_graph, *new_graph);
+  // The sim is the only reader of its DynamicGraph, so the change record
+  // always starts at old_graph.
+  const GraphDelta* change = dynamic_.change_since(graph_version_);
+  REMSPAN_CHECK(change != nullptr);
+  const GraphDelta& delta = *change;
+  graph_version_ = dynamic_.version();
   graph_ = new_graph;
   net_->change_topology(*graph_);
   if (delta.empty()) {
@@ -465,8 +470,11 @@ ReconvergeBatchStats ReconvergenceSim::apply_batch(std::span<const GraphEvent> e
   } else {
     const std::vector<NodeId> dirty = collect_dirty_roots(
         *old_graph, *new_graph, touched, rule_.dirty_radius(), dirty_bfs_, dirty_flag_);
+    auto next_dirty = dirty.begin();  // sorted
     for (NodeId v = 0; v < graph_->num_nodes(); ++v) {
-      proto(*net_, v).begin_epoch(/*advertise=*/dirty_flag_[v] != 0, /*reset_state=*/false);
+      const bool advertise = next_dirty != dirty.end() && *next_dirty == v;
+      if (advertise) ++next_dirty;
+      proto(*net_, v).begin_epoch(advertise, /*reset_state=*/false);
     }
     for (const NodeId v : touched) {
       proto(*net_, v).sense_neighbors(sorted_neighbors(*graph_, v));

@@ -243,6 +243,7 @@ class ReconvergenceSim {
   ReliabilityConfig rel_;
   DynamicGraph dynamic_;
   std::shared_ptr<const Graph> graph_;
+  std::uint64_t graph_version_ = 0;  ///< dynamic_.version() when graph_ was taken
   std::unique_ptr<Network> net_;
   BoundedBfs dirty_bfs_;
   std::vector<std::uint8_t> dirty_flag_;

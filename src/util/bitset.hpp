@@ -49,6 +49,13 @@ class DynamicBitset {
     return (words_[i >> 6] >> (i & 63)) & 1u;
   }
 
+  /// Grows or shrinks to `bits` bits; bits past the old size start clear.
+  void resize(std::size_t bits) {
+    bits_ = bits;
+    words_.resize((bits + 63) / 64, 0);
+    trim();
+  }
+
   void clear_all() noexcept {
     for (auto& w : words_) w = 0;
   }

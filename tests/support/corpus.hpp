@@ -10,6 +10,8 @@
 // test's printed label alone.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <cstdint>
 #include <vector>
 
@@ -104,6 +106,25 @@ inline std::vector<TreeRule> incremental_sweep_configs() {
 /// order): the equivalence oracle of the incremental and protocol suites.
 inline EdgeSet scratch_spanner(const Graph& g, const TreeRule& rule) {
   return union_of_trees(g, locality_root_order(g, kLocalityCluster), rule);
+}
+
+/// The incremental-vs-scratch check. `maintained` (over a snapshot) must
+/// equal the scratch build on that snapshot bit for bit, slot for slot; and
+/// its canonical node-pair list must equal that of a scratch build on a
+/// fresh canonical Graph rebuilt from the snapshot's edges, which also
+/// checks the snapshot's copy-on-write rows against a plain CSR.
+inline ::testing::AssertionResult matches_scratch(const EdgeSet& maintained,
+                                                  const TreeRule& rule) {
+  const Graph& g = maintained.graph();
+  if (!(maintained == scratch_spanner(g, rule))) {
+    return ::testing::AssertionFailure() << "differs from the scratch build on its snapshot";
+  }
+  const Graph fresh = Graph::from_canonical_edges(g.num_nodes(), g.edge_list());
+  if (maintained.edge_list() != scratch_spanner(fresh, rule).edge_list()) {
+    return ::testing::AssertionFailure()
+           << "differs from the scratch build on a fresh canonical graph";
+  }
+  return ::testing::AssertionSuccess();
 }
 
 }  // namespace remspan::testsupport

@@ -2,22 +2,29 @@
 // mapping, multi-source bounded BFS, and churn-trace generation/round-trip.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "dynamic/churn_trace.hpp"
 #include "dynamic/dynamic_graph.hpp"
 #include "geom/ball_graph.hpp"
 #include "geom/synthetic.hpp"
 #include "graph/bfs.hpp"
+#include "graph/edge_set.hpp"
+#include "graph/graphio.hpp"
 #include "graph/views.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "util/rng.hpp"
 
 namespace remspan {
 namespace {
 
 std::set<Edge> edge_set_of(const Graph& g) {
-  return {g.edges().begin(), g.edges().end()};
+  const std::vector<Edge> edges = g.edge_list();
+  return {edges.begin(), edges.end()};
 }
 
 bool edge_less(const Edge& x, const Edge& y) {
@@ -178,6 +185,214 @@ TEST(DiffGraphs, MapsSurvivorsAndListsChanges) {
   }
 }
 
+/// Everything a reader can see of a graph: its rows with their ids, the
+/// slot table, and the counts.
+struct GraphImage {
+  std::vector<std::vector<NodeId>> rows;
+  std::vector<std::vector<EdgeId>> ids;
+  std::vector<Edge> slots;
+  std::size_t edges = 0;
+  Dist max_degree = 0;
+
+  explicit GraphImage(const Graph& g) : edges(g.num_edges()), max_degree(g.max_degree()) {
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      rows.emplace_back(g.neighbors(u).begin(), g.neighbors(u).end());
+      ids.emplace_back(g.incident_edges(u).begin(), g.incident_edges(u).end());
+    }
+    for (EdgeId id = 0; id < g.edge_id_bound(); ++id) slots.push_back(g.edge(id));
+  }
+  friend bool operator==(const GraphImage&, const GraphImage&) = default;
+};
+
+TEST(DynamicGraph, ChangeRecordMatchesDiffAndKeepsSurvivorSlots) {
+  Rng rng(5);
+  DynamicGraph dg(gnp(200, 0.04, rng));
+  auto prev = dg.snapshot();
+  std::uint64_t prev_version = dg.version();
+  for (int step = 0; step < 40; ++step) {
+    for (int i = 0; i < 6; ++i) {
+      const auto a = static_cast<NodeId>(rng.uniform(200));
+      const auto b = static_cast<NodeId>((a + 1 + rng.uniform(199)) % 200);
+      const double roll = rng.uniform_real();
+      if (roll < 0.1) {
+        dg.apply(dg.node_up(a) ? GraphEvent::node_down(a) : GraphEvent::node_up(a));
+      } else {
+        dg.apply(roll < 0.55 ? GraphEvent::edge_down(a, b) : GraphEvent::edge_up(a, b));
+      }
+    }
+    const auto cur = dg.snapshot();
+    const GraphDelta* change = dg.change_since(prev_version);
+    ASSERT_NE(change, nullptr);
+    const GraphDelta diff = diff_graphs(*prev, *cur);
+    EXPECT_EQ(change->removed, diff.removed) << "step " << step;
+    EXPECT_EQ(change->removed_old_ids, diff.removed_old_ids) << "step " << step;
+    EXPECT_EQ(change->inserted, diff.inserted) << "step " << step;
+    EXPECT_EQ(change->inserted_new_ids, diff.inserted_new_ids) << "step " << step;
+    for (EdgeId id = 0; id < diff.old_to_new.size(); ++id) {
+      if (diff.old_to_new[id] != kInvalidEdge) EXPECT_EQ(diff.old_to_new[id], id);
+    }
+    // A net no-op batch publishes nothing; the snapshot object stays.
+    EXPECT_EQ(cur == prev, change->empty());
+    EXPECT_TRUE(dg.change_since(dg.version())->empty());
+    EXPECT_EQ(cur->num_edges(), edge_set_of(*cur).size());
+    if (step >= 2) EXPECT_FALSE(cur->canonical_ids());
+    prev = cur;
+    prev_version = dg.version();
+  }
+}
+
+TEST(CopyOnWrite, HeldSnapshotStaysByteIdenticalThroughLaterBatches) {
+  // 300 nodes span three row blocks and about 1350 edges two slot blocks.
+  Rng rng(21);
+  const Graph initial = gnp(300, 0.03, rng);
+  ASSERT_GT(initial.num_edges(), std::size_t{Graph::kSlotBlockSlots});
+  DynamicGraph dg(initial);
+  const auto snap0 = dg.snapshot();
+  const GraphImage image0(*snap0);
+  EXPECT_EQ(image0, GraphImage(initial));
+
+  // First batch: drop edges, leaving holes in the next snapshot.
+  const std::vector<Edge> edges = initial.edge_list();
+  for (std::size_t i = 0; i < edges.size(); i += 9) {
+    dg.apply(GraphEvent::edge_down(edges[i].u, edges[i].v));
+  }
+  const auto snap1 = dg.snapshot();
+  const std::uint64_t version1 = dg.version();
+  const GraphImage image1(*snap1);
+  const std::vector<EdgeId> holes = dg.change_since(0)->removed_old_ids;
+  ASSERT_FALSE(holes.empty());
+  for (const EdgeId id : holes) EXPECT_EQ(snap1->edge(id), Edge{});
+
+  // A reader hashes both held snapshots while later batches reuse the
+  // holes, insert, remove and toggle nodes.
+  std::atomic<bool> stop{false};
+  std::atomic<int> mismatches{0};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      if (!(GraphImage(*snap1) == image1) || !(GraphImage(*snap0) == image0)) {
+        mismatches.fetch_add(1);
+      }
+    }
+  });
+  std::set<EdgeId> reused;
+  for (int step = 0; step < 12; ++step) {
+    for (int i = 0; i < 10; ++i) {
+      const auto a = static_cast<NodeId>(rng.uniform(300));
+      const auto b = static_cast<NodeId>((a + 1 + rng.uniform(299)) % 300);
+      if (i == 0 && step % 4 == 3) {
+        dg.apply(dg.node_up(a) ? GraphEvent::node_down(a) : GraphEvent::node_up(a));
+      } else {
+        dg.apply(rng.bernoulli(0.7) ? GraphEvent::edge_up(a, b) : GraphEvent::edge_down(a, b));
+      }
+    }
+    const auto cur = dg.snapshot();
+    for (const EdgeId id : holes) {
+      if (id < cur->edge_id_bound() && cur->edge(id) != Edge{}) reused.insert(id);
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(GraphImage(*snap1), image1);
+  EXPECT_EQ(GraphImage(*snap0), image0);
+  EXPECT_FALSE(reused.empty()) << "no later batch reused a slot the first one freed";
+  EXPECT_EQ(dg.change_since(version1), nullptr);  // older than the one before
+}
+
+TEST(CopyOnWrite, FreedSlotIsReusedOnlyFromTheNextBatch) {
+  DynamicGraph dg(GraphBuilder(6).build());
+  dg.apply_all(std::vector<GraphEvent>{GraphEvent::edge_up(0, 1), GraphEvent::edge_up(1, 2),
+                                       GraphEvent::edge_up(2, 3)});
+  const auto g1 = dg.snapshot();
+  const std::uint64_t v1 = dg.version();
+  const EdgeId freed = g1->find_edge(1, 2);
+  ASSERT_NE(freed, kInvalidEdge);
+  ASSERT_EQ(g1->edge_id_bound(), 3u);
+
+  // The batch that frees a slot cannot hand it out again...
+  dg.apply_all(std::vector<GraphEvent>{GraphEvent::edge_down(1, 2), GraphEvent::edge_up(3, 4)});
+  const auto g2 = dg.snapshot();
+  const std::uint64_t v2 = dg.version();
+  EXPECT_EQ(dg.change_since(v1)->removed_old_ids, std::vector<EdgeId>{freed});
+  EXPECT_NE(g2->find_edge(3, 4), freed);
+  EXPECT_EQ(g2->edge_id_bound(), 4u);
+  EXPECT_EQ(g2->edge(freed), Edge{});
+
+  // ...the next one takes it first, and the held snapshots do not move.
+  dg.apply(GraphEvent::edge_up(4, 5));
+  const auto g3 = dg.snapshot();
+  EXPECT_EQ(g3->find_edge(4, 5), freed);
+  EXPECT_EQ(dg.change_since(v2)->inserted_new_ids, std::vector<EdgeId>{freed});
+  EXPECT_EQ(g1->edge(freed), (Edge{1, 2}));
+  EXPECT_EQ(g2->edge(freed), Edge{});
+
+  // Down then up within one batch is no change: the edge keeps its slot
+  // and the snapshot object stays.
+  const EdgeId kept = g3->find_edge(0, 1);
+  dg.apply_all(std::vector<GraphEvent>{GraphEvent::edge_down(0, 1), GraphEvent::edge_up(0, 1)});
+  EXPECT_EQ(dg.snapshot(), g3);
+  EXPECT_EQ(dg.snapshot()->find_edge(0, 1), kept);
+}
+
+TEST(CopyOnWrite, OneEventBatchCopiesOnlyItsBlocks) {
+  Rng rng(8);
+  const Graph initial = gnp(2000, 0.005, rng);
+  DynamicGraph dg(initial);
+  obs::Registry reg;
+  obs::ScopedSinks sinks(&reg, nullptr);
+  const Edge e = initial.edge_list()[initial.num_edges() / 2];
+  dg.apply(GraphEvent::edge_down(e.u, e.v));
+  (void)dg.snapshot();
+  // Two rows (one or two row blocks) and the freed slot's block.
+  EXPECT_LE(reg.counter("dynamic.blocks_copied").value(), 3u);
+  EXPECT_GE(reg.counter("dynamic.blocks_copied").value(), 2u);
+  EXPECT_LT(reg.counter("dynamic.bytes_copied").value(), 64u * 1024u);
+}
+
+TEST(CopyOnWrite, ListingsOfASnapshotMatchAFreshCanonicalGraph) {
+  // Every edge listing walks rows in canonical node-pair order, so a
+  // snapshot with holes and reused slots prints exactly what a fresh
+  // canonical graph with the same edges prints.
+  Rng rng(13);
+  DynamicGraph dg(gnp(150, 0.05, rng));
+  for (int step = 0; step < 5; ++step) {
+    for (int i = 0; i < 12; ++i) {
+      const auto a = static_cast<NodeId>(rng.uniform(150));
+      const auto b = static_cast<NodeId>((a + 1 + rng.uniform(149)) % 150);
+      dg.apply(rng.bernoulli(0.5) ? GraphEvent::edge_up(a, b) : GraphEvent::edge_down(a, b));
+    }
+    (void)dg.snapshot();
+  }
+  // A removal-only last batch leaves holes.
+  const std::vector<Edge> before = dg.snapshot()->edge_list();
+  for (std::size_t i = 0; i < before.size(); i += 40) {
+    dg.apply(GraphEvent::edge_down(before[i].u, before[i].v));
+  }
+  const auto snap = dg.snapshot();
+  ASSERT_FALSE(snap->canonical_ids());
+  ASSERT_GT(snap->edge_id_bound(), snap->num_edges());  // holes
+  EXPECT_THROW((void)snap->edges(), CheckError);
+  const Graph fresh = Graph::from_canonical_edges(snap->num_nodes(), snap->edge_list());
+  EXPECT_EQ(fresh.max_degree(), snap->max_degree());
+  const auto text = [](const Graph& g) {
+    std::ostringstream out;
+    write_edge_list(out, g);
+    return out.str();
+  };
+  EXPECT_EQ(text(*snap), text(fresh));
+  // The same node pairs selected on both graphs list and draw the same.
+  EdgeSet on_snap(*snap);
+  EdgeSet on_fresh(fresh);
+  const std::vector<Edge> edges = fresh.edge_list();
+  for (std::size_t i = 0; i < edges.size(); i += 3) {
+    on_snap.insert(edges[i].u, edges[i].v);
+    on_fresh.insert(edges[i].u, edges[i].v);
+  }
+  EXPECT_EQ(on_snap.edge_list(), on_fresh.edge_list());
+  EXPECT_EQ(to_dot(*snap, &on_snap, "H"), to_dot(fresh, &on_fresh, "H"));
+  EXPECT_EQ(EdgeSet(*snap, true).edge_list(), edges);
+}
+
 TEST(MultiSourceBfs, DistanceIsMinOverSources) {
   Rng rng(13);
   for (int rep = 0; rep < 10; ++rep) {
@@ -236,6 +451,37 @@ TEST(ChurnTrace, OversizedDeclaredCountsThrowCheckError) {
     std::istringstream in(text);
     EXPECT_THROW((void)read_churn_trace(in), CheckError) << text;
   }
+}
+
+TEST(ChurnTrace, MalformedTokensThrowCheckErrorNamingTheLine) {
+  // Every token is parsed whole: a sign, a suffix, an extra token or a node
+  // count no replay could allocate is a CheckError naming its line.
+  const std::pair<const char*, const char*> malformed[] = {
+      {"churntrace 1\nnodes 4\nedges 1\n0 -1\n", "line 4"},
+      {"churntrace 1\nnodes 4\nedges 1\n0 1x\n", "line 4"},
+      {"churntrace 1\nnodes 4\nedges 1\n0 1 2\n", "line 4"},
+      {"churntrace 1\nnodes 4\nedges 1\n0 4\n", "line 4"},
+      {"churntrace 1\nnodes -4\n", "line 2"},
+      {"churntrace 1\nnodes 4000000000\nedges 0\nbatches 0\n", "line 2"},
+      {"churntrace 1\nnodes 99999999999\nedges 0\nbatches 0\n", "line 2"},
+      {"churntrace 1\nnodes 4\nedges 0\nbatches 1\nbatch 1\ne+ 0 +1\n", "line 6"},
+      {"churntrace 1\nnodes 4\nedges 0\nbatches 1\nbatch 1\nn- 2 3\n", "line 6"},
+      {"churntrace 2\n", "line 1"},
+  };
+  for (const auto& [text, where] : malformed) {
+    std::istringstream in(text);
+    try {
+      (void)read_churn_trace(in);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(where), std::string::npos) << e.what();
+    }
+  }
+  // Blank lines and surrounding blanks are fine.
+  std::istringstream ok("churntrace 1\n\nnodes 3\t\nedges 1\n 0  2 \r\nbatches 1\nbatch 1\nn- 1\n");
+  const ChurnTrace trace = read_churn_trace(ok);
+  EXPECT_EQ(trace.initial_edges, (std::vector<Edge>{{0, 2}}));
+  EXPECT_EQ(trace.batches.at(0).at(0), GraphEvent::node_down(1));
 }
 
 TEST(ChurnTrace, GeneratorsAreDeterministic) {

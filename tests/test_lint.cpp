@@ -109,6 +109,15 @@ TEST(LintTool, GeomUnorderedIterationFixtureTripsR6) {
       << run.output;
 }
 
+// R2's stream-extraction half is scoped to src/ outside util/; like the
+// geom R6 fixture, it is a plain TEST so the parameterised names stay put.
+TEST(LintTool, StreamExtractionFixtureTripsR2) {
+  const LintRun run = run_on_fixture("r2_stream_extraction.cpp");
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_NE(run.output.find("[R2 strict-number-parsing]"), std::string::npos) << run.output;
+  EXPECT_NE(run.output.find("stream extraction from 'in'"), std::string::npos) << run.output;
+}
+
 TEST(LintTool, JustifiedAllowSuppresses) {
   const LintRun run = run_on_fixture("r6_suppressed.cpp");
   EXPECT_EQ(run.exit_code, 0) << run.output;

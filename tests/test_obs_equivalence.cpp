@@ -133,7 +133,10 @@ TEST(ObsEquivalence, GraphIngestBitIdenticalWithSinksOn) {
 }
 
 TEST(ObsEquivalence, IncrementalBatchesBitIdenticalWithSinksOn) {
-  auto run = [](bool observed) {
+  std::vector<std::string> spans;
+  obs::Snapshot metrics;
+  std::vector<bool> changed;
+  auto run = [&](bool observed) {
     const Graph initial = test_graph(23);
     DynamicGraph dg(initial);
     IncrementalSpanner inc(dg, TreeRule::k_connecting(1));
@@ -143,6 +146,7 @@ TEST(ObsEquivalence, IncrementalBatchesBitIdenticalWithSinksOn) {
     if (observed) sinks.emplace(&reg, &buf);
     Rng rng(99);
     std::vector<std::vector<Edge>> spanners;
+    changed.clear();
     for (int batch = 0; batch < 6; ++batch) {
       std::vector<GraphEvent> events;
       for (int e = 0; e < 8; ++e) {
@@ -153,12 +157,31 @@ TEST(ObsEquivalence, IncrementalBatchesBitIdenticalWithSinksOn) {
         events.push_back(rng.bernoulli(0.5) ? GraphEvent::edge_up(u, v)
                                             : GraphEvent::edge_down(u, v));
       }
-      inc.apply_batch(events);
+      const ChurnBatchStats stats = inc.apply_batch(events);
+      changed.push_back(stats.inserted_edges + stats.removed_edges > 0);
       spanners.push_back(inc.spanner().edge_list());
+    }
+    if (observed) {
+      for (const obs::TraceEvent& e : buf.events()) {
+        if (e.ph == obs::kPhaseBegin) spans.emplace_back(e.name);
+      }
+      metrics = reg.snapshot();
     }
     return spanners;
   };
   EXPECT_EQ(run(false), run(true));
+  // The exact per-batch phase ledger: a batch that changed the live
+  // topology runs all five phases, a net no-op only takes its snapshot.
+  std::vector<std::string> expected;
+  for (const bool c : changed) {
+    expected.insert(expected.end(), {"inc.apply_batch", "dynamic.snapshot"});
+    if (c) expected.insert(expected.end(), {"inc.expand", "inc.retire", "inc.rebuild", "inc.publish"});
+  }
+  EXPECT_NE(std::count(changed.begin(), changed.end(), true), 0);
+  EXPECT_EQ(spans, expected);
+  EXPECT_GT(metrics.counters.at("dynamic.blocks_copied"), 0u);
+  EXPECT_GE(metrics.counters.at("dynamic.bytes_copied"),
+            metrics.counters.at("dynamic.blocks_copied"));
 }
 
 TEST(ObsEquivalence, DistributedProtocolBitIdenticalWithSinksOn) {

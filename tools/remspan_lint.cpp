@@ -56,8 +56,9 @@ constexpr RuleInfo kRules[] = {
      "src/api/remspan_service_c.cpp) opens with a top-level try and "
      "ends in a catch-all: no exception may cross extern \"C\""},
     {"R2", "strict-number-parsing",
-     "std::sto*/ato*/strto* are banned outside util/strnum: strict "
-     "whole-string parsing via parse_full_int/parse_full_double only"},
+     "std::sto*/ato*/strto* are banned outside util/strnum, and stream "
+     "extraction (in >> x) in src/ outside util/: strict whole-token "
+     "parsing via util/strnum (parse_full_*, split_tokens) only"},
     {"R3", "no-exit",
      "std::exit is banned outside the cli_main wrapper (src/util/options.cpp): "
      "error paths throw OptionError or return status codes"},
@@ -511,6 +512,34 @@ class FileLinter {
         flag("R2", toks_[i].line,
              "'" + toks_[i].text + "' accepts partial/garbage-suffixed input; use the "
              "strict parse_full_int/parse_full_double from util/strnum instead");
+      }
+    }
+      if (starts_with(path_, "src/") && !starts_with(path_, "src/util/")) check_r2_extraction();
+  }
+
+  // `>>` from an input stream parses numbers leniently: "-1" wraps into an
+  // unsigned target and "12abc" stops silently at the suffix. Streams are
+  // recognised by declaration (istream&, istringstream, ifstream,
+  // stringstream) and std::cin; the two '>' of an extraction follow one.
+  void check_r2_extraction() {
+    static const std::set<std::string> stream_types = {
+        "istream", "istringstream", "ifstream", "stringstream", "fstream", "iostream"};
+    std::set<std::string> streams = {"cin"};
+    for (std::size_t i = 0; i + 1 < toks_.size(); ++i) {
+      if (toks_[i].kind != Tok::kIdent || stream_types.count(toks_[i].text) == 0) continue;
+      std::size_t j = i + 1;
+      while (is_punct(j, "&") || is_punct(j, "*")) ++j;
+      if (const Token* name = at(j); name != nullptr && name->kind == Tok::kIdent) {
+        streams.insert(name->text);
+      }
+    }
+    for (std::size_t i = 0; i + 2 < toks_.size(); ++i) {
+      if (toks_[i].kind == Tok::kIdent && streams.count(toks_[i].text) != 0 &&
+          is_punct(i + 1, ">") && is_punct(i + 2, ">") && toks_[i + 1].line == toks_[i + 2].line) {
+        flag("R2", toks_[i].line,
+             "stream extraction from '" + toks_[i].text + "' accepts signs that wrap and "
+             "stops silently at a suffix; read the line, split it with split_tokens and "
+             "parse each token whole (util/strnum)");
       }
     }
   }
