@@ -6,8 +6,8 @@
 
 namespace remspan {
 
-/// A row block the working version copied: its rows' local offsets (one
-/// more than its row count), neighbors and slots.
+/// A row block a snapshot copied: its rows' local offsets (one more than
+/// its row count), neighbors and slots.
 struct DynamicGraph::RowStore {
   std::vector<std::size_t> off;
   std::vector<NodeId> adj;
@@ -17,7 +17,7 @@ struct DynamicGraph::RowStore {
 namespace {
 
 /// Sorted-row insertion; returns false when already present.
-bool sorted_insert(std::vector<NodeId>& row, NodeId v) {
+bool row_insert(std::vector<NodeId>& row, NodeId v) {
   const auto it = std::lower_bound(row.begin(), row.end(), v);
   if (it != row.end() && *it == v) return false;
   row.insert(it, v);
@@ -25,7 +25,7 @@ bool sorted_insert(std::vector<NodeId>& row, NodeId v) {
 }
 
 /// Sorted-row erasure; returns false when absent.
-bool sorted_erase(std::vector<NodeId>& row, NodeId v) {
+bool row_erase(std::vector<NodeId>& row, NodeId v) {
   const auto it = std::lower_bound(row.begin(), row.end(), v);
   if (it == row.end() || *it != v) return false;
   row.erase(it);
@@ -47,19 +47,13 @@ DynamicGraph::DynamicGraph(const Graph& initial)
       adj_(initial.num_nodes()),
       up_(initial.num_nodes(), 1),
       stored_edges_(initial.num_edges()),
-      work_(initial) {
+      snapshot_(std::make_shared<const Graph>(initial)) {
   for (NodeId u = 0; u < n_; ++u) {
     const auto nbrs = initial.neighbors(u);
     adj_[u].assign(nbrs.begin(), nbrs.end());  // Graph rows are sorted
-    const std::size_t d = nbrs.size();
-    if (d >= degree_rows_.size()) degree_rows_.resize(d + 1, 0);
-    ++degree_rows_[d];
+    if (nbrs.size() >= degree_rows_.size()) degree_rows_.resize(nbrs.size() + 1, 0);
+    ++degree_rows_[nbrs.size()];
   }
-  work_.row_owners_.resize(work_.rows_.size());
-  work_.slot_owners_.resize(work_.slots_.size());
-  own_rows_.resize(work_.rows_.size());
-  own_slots_.resize(work_.slots_.size());
-  snapshot_ = std::make_shared<const Graph>(work_);
 }
 
 bool DynamicGraph::has_edge(NodeId a, NodeId b) const {
@@ -72,200 +66,38 @@ bool DynamicGraph::edge_live(const Edge& e) const {
          std::binary_search(adj_[e.u].begin(), adj_[e.u].end(), e.v);
 }
 
-void DynamicGraph::begin_edit() {
-  if (!published_) return;
-  for (const std::size_t b : own_row_list_) own_rows_[b].reset();
-  for (const std::size_t b : own_slot_list_) own_slots_[b].reset();
-  own_row_list_.clear();
-  own_slot_list_.clear();
-  free_slots_.insert(free_slots_.end(), freed_slots_.begin(), freed_slots_.end());
-  freed_slots_.clear();
-  published_ = false;
-}
-
-DynamicGraph::RowStore& DynamicGraph::own_row_block(std::size_t block) {
-  if (own_rows_[block] != nullptr) return *own_rows_[block];
-  const Graph::RowBlock view = work_.rows_[block];
-  const std::size_t first = block << Graph::kRowBlockShift;
-  const std::size_t rows = std::min<std::size_t>(Graph::kRowBlockRows, n_ - first);
-  const std::size_t lo = view.off[0];
-  const std::size_t hi = view.off[rows];
-  auto store = std::make_shared<RowStore>();
-  store->off.resize(rows + 1);
-  for (std::size_t r = 0; r <= rows; ++r) store->off[r] = view.off[r] - lo;
-  store->adj.assign(view.adj + lo, view.adj + hi);
-  store->ids.assign(view.ids + lo, view.ids + hi);
-  obs::count("dynamic.blocks_copied");
-  obs::count("dynamic.bytes_copied", (rows + 1) * sizeof(std::size_t) +
-                                         (hi - lo) * (sizeof(NodeId) + sizeof(EdgeId)));
-  work_.rows_[block] = Graph::RowBlock{store->off.data(), store->adj.data(), store->ids.data()};
-  work_.whole_ = Graph::RowBlock{};
-  work_.row_owners_[block] = store;
-  own_rows_[block] = store;
-  own_row_list_.push_back(block);
-  return *store;
-}
-
-DynamicGraph::SlotStore& DynamicGraph::own_slot_block(std::size_t block) {
-  if (block < own_slots_.size() && own_slots_[block] != nullptr) return *own_slots_[block];
-  // Slots below edge_id_bound() are backed in every block; the rest of a
-  // copied block starts as holes.
-  auto store = std::make_shared<SlotStore>(Graph::kSlotBlockSlots, Edge{});
-  const std::size_t first = block << Graph::kSlotBlockShift;
-  const std::size_t filled =
-      work_.edge_id_bound_ > first
-          ? std::min<std::size_t>(Graph::kSlotBlockSlots, work_.edge_id_bound_ - first)
-          : 0;
-  if (block == work_.slots_.size()) {
-    work_.slots_.push_back(nullptr);
-    work_.slot_owners_.emplace_back();
-    own_slots_.emplace_back();
-  }
-  std::copy_n(work_.slots_[block], filled, store->begin());
-  obs::count("dynamic.blocks_copied");
-  obs::count("dynamic.bytes_copied", Graph::kSlotBlockSlots * sizeof(Edge));
-  work_.slots_[block] = store->data();
-  work_.slot_owners_[block] = store;
-  own_slots_[block] = store;
-  own_slot_list_.push_back(block);
-  return *store;
-}
-
-void DynamicGraph::count_degree(Dist from, Dist to) {
-  --degree_rows_[from];
-  if (to >= degree_rows_.size()) degree_rows_.resize(std::size_t{to} + 1, 0);
-  ++degree_rows_[to];
-  Dist& top = work_.max_degree_;
-  top = std::max(top, to);
-  while (top > 0 && degree_rows_[top] == 0) --top;
-}
-
-void DynamicGraph::row_insert(NodeId x, NodeId neighbor, EdgeId slot) {
-  const std::size_t block = x >> Graph::kRowBlockShift;
-  const std::size_t r = x & (Graph::kRowBlockRows - 1);
-  RowStore& s = own_row_block(block);
-  const auto first = s.adj.begin() + static_cast<std::ptrdiff_t>(s.off[r]);
-  const auto last = s.adj.begin() + static_cast<std::ptrdiff_t>(s.off[r + 1]);
-  const auto pos = std::lower_bound(first, last, neighbor) - s.adj.begin();
-  s.adj.insert(s.adj.begin() + pos, neighbor);
-  s.ids.insert(s.ids.begin() + pos, slot);
-  for (std::size_t i = r + 1; i < s.off.size(); ++i) ++s.off[i];
-  work_.rows_[block] = Graph::RowBlock{s.off.data(), s.adj.data(), s.ids.data()};
-  const auto d = static_cast<Dist>(s.off[r + 1] - s.off[r]);
-  count_degree(d - 1, d);
-}
-
-void DynamicGraph::row_erase(NodeId x, NodeId neighbor) {
-  const std::size_t block = x >> Graph::kRowBlockShift;
-  const std::size_t r = x & (Graph::kRowBlockRows - 1);
-  RowStore& s = own_row_block(block);
-  const auto first = s.adj.begin() + static_cast<std::ptrdiff_t>(s.off[r]);
-  const auto last = s.adj.begin() + static_cast<std::ptrdiff_t>(s.off[r + 1]);
-  const auto it = std::lower_bound(first, last, neighbor);
-  REMSPAN_CHECK(it != last && *it == neighbor);
-  const auto pos = it - s.adj.begin();
-  s.adj.erase(it);
-  s.ids.erase(s.ids.begin() + pos);
-  for (std::size_t i = r + 1; i < s.off.size(); ++i) --s.off[i];
-  const auto d = static_cast<Dist>(s.off[r + 1] - s.off[r]);
-  count_degree(d + 1, d);
-}
-
-void DynamicGraph::set_slot(EdgeId slot, const Edge& e) {
-  own_slot_block(slot >> Graph::kSlotBlockShift)[slot & (Graph::kSlotBlockSlots - 1)] = e;
-}
-
-EdgeId DynamicGraph::take_slot() {
-  if (!free_slots_.empty()) {
-    const EdgeId slot = free_slots_.back();
-    free_slots_.pop_back();
-    return slot;
-  }
-  const std::size_t slot = work_.edge_id_bound_;
-  detail::check_graph_limits(n_, slot + 1);
-  own_slot_block(slot >> Graph::kSlotBlockShift);  // before the bound grows past it
-  ++work_.edge_id_bound_;
-  return static_cast<EdgeId>(slot);
-}
-
-void DynamicGraph::live_insert(NodeId a, NodeId b) {
-  const Edge e = make_edge(a, b);
-  // An edge live in the current snapshot that this batch removed gets its
-  // old slot back, so the snapshot's survivors keep their ids.
-  EdgeId slot = snapshot_->find_edge(e.u, e.v);
-  if (slot != kInvalidEdge) {
-    const auto freed = std::find(freed_slots_.begin(), freed_slots_.end(), slot);
-    REMSPAN_CHECK(freed != freed_slots_.end());
-    freed_slots_.erase(freed);
-  } else {
-    slot = take_slot();
-  }
-  row_insert(e.u, e.v, slot);
-  row_insert(e.v, e.u, slot);
-  set_slot(slot, e);
-  ++work_.num_edges_;
-  work_.canonical_ = false;
-}
-
-void DynamicGraph::live_remove(NodeId a, NodeId b) {
-  const Edge e = make_edge(a, b);
-  const EdgeId slot = work_.find_edge(e.u, e.v);
-  REMSPAN_CHECK(slot != kInvalidEdge);
-  row_erase(e.u, e.v);
-  row_erase(e.v, e.u);
-  set_slot(slot, Edge{});
-  --work_.num_edges_;
-  work_.canonical_ = false;
-  // A slot the current snapshot shows stays taken until the next one; a
-  // slot only this batch used is free again at once.
-  (snapshot_->find_edge(e.u, e.v) == slot ? freed_slots_ : free_slots_).push_back(slot);
-}
-
 bool DynamicGraph::apply(const GraphEvent& event) {
-  begin_edit();
   bool changed = false;
   switch (event.kind) {
     case GraphEventKind::kEdgeUp:
       REMSPAN_CHECK(event.u < n_ && event.v < n_ && event.u != event.v);
-      changed = sorted_insert(adj_[event.u], event.v);
+      changed = row_insert(adj_[event.u], event.v);
       if (changed) {
-        sorted_insert(adj_[event.v], event.u);
+        row_insert(adj_[event.v], event.u);
         ++stored_edges_;
         pending_edges_.push_back(make_edge(event.u, event.v));
-        if (up_[event.u] != 0 && up_[event.v] != 0) live_insert(event.u, event.v);
       }
       break;
     case GraphEventKind::kEdgeDown:
       REMSPAN_CHECK(event.u < n_ && event.v < n_ && event.u != event.v);
-      changed = sorted_erase(adj_[event.u], event.v);
+      changed = row_erase(adj_[event.u], event.v);
       if (changed) {
-        sorted_erase(adj_[event.v], event.u);
+        row_erase(adj_[event.v], event.u);
         --stored_edges_;
         pending_edges_.push_back(make_edge(event.u, event.v));
-        if (up_[event.u] != 0 && up_[event.v] != 0) live_remove(event.u, event.v);
       }
       break;
     case GraphEventKind::kNodeUp:
       REMSPAN_CHECK(event.u < n_);
       changed = up_[event.u] == 0;
-      if (changed) {
-        up_[event.u] = 1;
-        pending_nodes_.push_back(event.u);
-        for (const NodeId w : adj_[event.u]) {
-          if (up_[w] != 0) live_insert(event.u, w);
-        }
-      }
+      up_[event.u] = 1;
+      if (changed) pending_nodes_.push_back(event.u);
       break;
     case GraphEventKind::kNodeDown:
       REMSPAN_CHECK(event.u < n_);
       changed = up_[event.u] != 0;
-      if (changed) {
-        for (const NodeId w : adj_[event.u]) {
-          if (up_[w] != 0) live_remove(event.u, w);
-        }
-        up_[event.u] = 0;
-        pending_nodes_.push_back(event.u);
-      }
+      up_[event.u] = 0;
+      if (changed) pending_nodes_.push_back(event.u);
       break;
   }
   if (changed) ++version_;
@@ -278,39 +110,53 @@ std::size_t DynamicGraph::apply_all(std::span<const GraphEvent> events) {
   return changed;
 }
 
-std::shared_ptr<const Graph> DynamicGraph::snapshot() const {
+EdgeId DynamicGraph::take_slot(std::size_t& bound) {
+  if (!free_slots_.empty()) {
+    const EdgeId slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
+  }
+  detail::check_graph_limits(n_, bound + 1);
+  return static_cast<EdgeId>(bound++);
+}
+
+std::shared_ptr<const Graph> DynamicGraph::snapshot() {
   if (snapshot_version_ == version_) return snapshot_;
   // Only edges named by an event since the last snapshot (directly, or
-  // through a liveness toggle of an endpoint) can have changed live state;
-  // each one's slot in the snapshot and in the working version decides.
+  // through a liveness toggle of an endpoint) can have changed live state.
   std::vector<Edge> candidates = std::move(pending_edges_);
   for (const NodeId v : pending_nodes_) {
     for (const NodeId w : adj_[v]) candidates.push_back(make_edge(v, w));
   }
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
-  GraphDelta change;
-  for (const Edge& e : candidates) {
-    const EdgeId before = snapshot_->find_edge(e.u, e.v);
-    const EdgeId after = work_.find_edge(e.u, e.v);
-    if (before == after) continue;  // absent from both, or a survivor in its slot
-    REMSPAN_CHECK(before == kInvalidEdge || after == kInvalidEdge);
-    if (before != kInvalidEdge) {
-      change.removed.push_back(e);
-      change.removed_old_ids.push_back(before);
-    } else {
-      change.inserted.push_back(e);
-      change.inserted_new_ids.push_back(after);
-    }
-  }
   pending_edges_.clear();
   pending_nodes_.clear();
+
+  // Slots the current snapshot freed become free now; the ones this batch
+  // frees wait for the next snapshot, so no slot holds two edges in two
+  // consecutive versions. Survivors keep their slots.
+  free_slots_.insert(free_slots_.end(), freed_slots_.begin(), freed_slots_.end());
+  freed_slots_.clear();
+  const Graph& prev = *snapshot_;
+  std::size_t bound = prev.edge_id_bound();
+  GraphDelta change;
+  for (const Edge& e : candidates) {
+    const EdgeId before = prev.find_edge(e.u, e.v);
+    const bool live = edge_live(e);
+    if (before != kInvalidEdge && !live) {
+      change.removed.push_back(e);
+      change.removed_old_ids.push_back(before);
+      freed_slots_.push_back(before);
+    } else if (before == kInvalidEdge && live) {
+      change.inserted.push_back(e);
+      change.inserted_new_ids.push_back(take_slot(bound));
+    }
+  }
   if (!change.empty()) {
-    snapshot_ = std::make_shared<const Graph>(work_);
-    published_ = true;
-  } else {
-    // Every edge this batch took out of the snapshot came back in its slot.
-    REMSPAN_CHECK(freed_slots_.empty());
+    Graph next = next_version(prev, change);
+    next.edge_id_bound_ = bound;
+    snapshot_ = std::make_shared<const Graph>(std::move(next));
   }
   change_ = std::move(change);
   change_base_ = snapshot_version_;
@@ -318,7 +164,130 @@ std::shared_ptr<const Graph> DynamicGraph::snapshot() const {
   return snapshot_;
 }
 
-const GraphDelta* DynamicGraph::change_since(std::uint64_t version) const {
+Graph DynamicGraph::next_version(const Graph& prev, const GraphDelta& change) {
+  Graph next = prev;
+  next.canonical_ = false;
+  next.num_edges_ = prev.num_edges_ + change.inserted.size() - change.removed.size();
+  if (next.row_owners_.empty()) next.row_owners_.resize(next.rows_.size());
+
+  // Row edits, both directions of every changed edge, grouped by row and
+  // sorted by neighbor: (row, neighbor, slot), slot = kInvalidEdge erases.
+  struct RowEdit {
+    NodeId row;
+    NodeId neighbor;
+    EdgeId slot;
+  };
+  std::vector<RowEdit> edits;
+  edits.reserve(2 * (change.removed.size() + change.inserted.size()));
+  for (const Edge& e : change.removed) {
+    edits.push_back({e.u, e.v, kInvalidEdge});
+    edits.push_back({e.v, e.u, kInvalidEdge});
+  }
+  for (std::size_t i = 0; i < change.inserted.size(); ++i) {
+    const Edge& e = change.inserted[i];
+    edits.push_back({e.u, e.v, change.inserted_new_ids[i]});
+    edits.push_back({e.v, e.u, change.inserted_new_ids[i]});
+  }
+  std::sort(edits.begin(), edits.end(), [](const RowEdit& a, const RowEdit& b) {
+    return a.row != b.row ? a.row < b.row : a.neighbor < b.neighbor;
+  });
+
+  // Each touched row block is copied once: the unedited runs of its
+  // entries in bulk, the edits merged in at their positions.
+  for (std::size_t i = 0; i < edits.size();) {
+    const std::size_t block = edits[i].row >> Graph::kRowBlockShift;
+    const std::size_t first = block << Graph::kRowBlockShift;
+    const std::size_t rows = std::min<std::size_t>(Graph::kRowBlockRows, n_ - first);
+    const Graph::RowBlock view = prev.rows_[block];
+    std::size_t inserts = 0;
+    for (std::size_t k = i; k < edits.size() && edits[k].row < first + rows; ++k) {
+      inserts += edits[k].slot == kInvalidEdge ? 0 : 1;
+    }
+    auto store = std::make_shared<RowStore>();
+    store->off.resize(rows + 1, 0);
+    store->adj.reserve(view.off[rows] - view.off[0] + inserts);
+    store->ids.reserve(view.off[rows] - view.off[0] + inserts);
+    std::size_t src = view.off[0];  // next old entry to copy
+    const auto copy_to = [&](std::size_t end) {
+      store->adj.insert(store->adj.end(), view.adj + src, view.adj + end);
+      store->ids.insert(store->ids.end(), view.ids + src, view.ids + end);
+      src = end;
+    };
+    for (std::size_t r = 0; r < rows; ++r) {
+      const auto x = static_cast<NodeId>(first + r);
+      if (i < edits.size() && edits[i].row == x) {
+        const std::size_t old_degree = view.off[r + 1] - view.off[r];
+        const std::size_t row_start = store->adj.size() + (view.off[r] - src);
+        for (; i < edits.size() && edits[i].row == x; ++i) {
+          const NodeId* pos = std::lower_bound(view.adj + std::max(src, view.off[r]),
+                                               view.adj + view.off[r + 1], edits[i].neighbor);
+          copy_to(static_cast<std::size_t>(pos - view.adj));
+          if (edits[i].slot == kInvalidEdge) {
+            REMSPAN_CHECK(src < view.off[r + 1] && view.adj[src] == edits[i].neighbor);
+            ++src;
+          } else {
+            store->adj.push_back(edits[i].neighbor);
+            store->ids.push_back(edits[i].slot);
+          }
+        }
+        copy_to(view.off[r + 1]);
+        const std::size_t degree = store->adj.size() - row_start;
+        --degree_rows_[old_degree];
+        if (degree >= degree_rows_.size()) degree_rows_.resize(degree + 1, 0);
+        ++degree_rows_[degree];
+        store->off[r + 1] = store->adj.size();
+      } else {
+        // Unedited: its end moves by the edits before it in the block.
+        store->off[r + 1] = store->adj.size() + (view.off[r + 1] - src);
+      }
+    }
+    copy_to(view.off[rows]);
+    obs::count("dynamic.blocks_copied");
+    obs::count("dynamic.bytes_copied", (rows + 1) * sizeof(std::size_t) +
+                                           store->adj.size() * (sizeof(NodeId) + sizeof(EdgeId)));
+    next.rows_[block] = Graph::RowBlock{store->off.data(), store->adj.data(), store->ids.data()};
+    next.row_owners_[block] = std::move(store);
+  }
+  next.whole_ = Graph::RowBlock{};
+  next.max_degree_ = static_cast<Dist>(degree_rows_.size() - 1);
+  while (next.max_degree_ > 0 && degree_rows_[next.max_degree_] == 0) --next.max_degree_;
+
+  // Each touched slot block is copied once: inserted slots take their
+  // edge, removed ones become holes. Slots below the old bound are backed
+  // in every block; the rest of a new or copied block starts as holes.
+  std::vector<Edge*> copied(next.slots_.size(), nullptr);
+  const auto slot_ref = [&](EdgeId slot) -> Edge& {
+    const std::size_t block = slot >> Graph::kSlotBlockShift;
+    if (block >= next.slots_.size()) {
+      next.slots_.resize(block + 1, nullptr);
+      next.slot_owners_.resize(block + 1);
+      copied.resize(block + 1, nullptr);
+    }
+    if (copied[block] == nullptr) {
+      auto store = std::make_shared<std::vector<Edge>>(Graph::kSlotBlockSlots, Edge{});
+      const std::size_t first = block << Graph::kSlotBlockShift;
+      if (prev.edge_id_bound_ > first) {
+        std::copy_n(prev.slots_[block],
+                    std::min<std::size_t>(Graph::kSlotBlockSlots, prev.edge_id_bound_ - first),
+                    store->begin());
+      }
+      obs::count("dynamic.blocks_copied");
+      obs::count("dynamic.bytes_copied", Graph::kSlotBlockSlots * sizeof(Edge));
+      copied[block] = store->data();
+      next.slots_[block] = store->data();
+      next.slot_owners_[block] = std::move(store);
+    }
+    return copied[block][slot & (Graph::kSlotBlockSlots - 1)];
+  };
+  if (next.slot_owners_.size() < next.slots_.size()) next.slot_owners_.resize(next.slots_.size());
+  for (const EdgeId slot : change.removed_old_ids) slot_ref(slot) = Edge{};
+  for (std::size_t i = 0; i < change.inserted.size(); ++i) {
+    slot_ref(change.inserted_new_ids[i]) = change.inserted[i];
+  }
+  return next;
+}
+
+const GraphDelta* DynamicGraph::change_since(std::uint64_t version) {
   static const GraphDelta kNoChange;
   (void)snapshot();
   if (version == snapshot_version_) return &kNoChange;

@@ -7,12 +7,13 @@
 // the library — builders, oracles, benches — consumes unchanged.
 //
 // Snapshots are copy-on-write versions. Every live edge holds a slot (its
-// EdgeId) for as long as it stays live; a batch copies only the row blocks
-// and slot blocks it edits, and publishing a snapshot copies the block
-// tables and nothing else. Each snapshot comes with its change record (the
-// live edges it removed and inserted, with their slots), which is what
-// IncrementalSpanner, ReconvergenceSim and the service consume: per-edge
-// state (refcounts, spanner bits) is keyed by slot and needs no remap.
+// EdgeId) for as long as it stays live; a new snapshot copies the block
+// tables and the row blocks and slot blocks its batch touched, and shares
+// every other block with the one before. Each snapshot comes with its
+// change record (the live edges it removed and inserted, with their
+// slots), which is what IncrementalSpanner, ReconvergenceSim and the
+// service consume: per-edge state (refcounts, spanner bits) is keyed by
+// slot and needs no remap.
 // diff_graphs() stays as a row-walking utility for two arbitrary graphs.
 #pragma once
 
@@ -84,13 +85,6 @@ class DynamicGraph {
   /// first snapshot shares the graph's storage and its edge ids.
   explicit DynamicGraph(const Graph& initial);
 
-  /// Not copyable: the working version's private blocks are written in
-  /// place, so two copies would edit each other's topology. Movable.
-  DynamicGraph(const DynamicGraph&) = delete;
-  DynamicGraph& operator=(const DynamicGraph&) = delete;
-  DynamicGraph(DynamicGraph&&) = default;
-  DynamicGraph& operator=(DynamicGraph&&) = default;
-
   [[nodiscard]] NodeId num_nodes() const noexcept { return n_; }
 
   /// Whether v is currently up. Down nodes keep their stored edges; every
@@ -115,9 +109,7 @@ class DynamicGraph {
   /// Applies one event. Returns whether the stored state changed (re-adding
   /// a present edge, dropping an absent one, and re-toggling liveness are
   /// all idempotent no-ops). Endpoints must be in range; edge events must
-  /// not be self-loops. A change to the live topology edits the working
-  /// version: the first edit of a row block or slot block since the last
-  /// snapshot copies that block.
+  /// not be self-loops.
   bool apply(const GraphEvent& event);
 
   /// Applies a batch in order; returns how many events changed state.
@@ -127,10 +119,13 @@ class DynamicGraph {
   /// endpoints are both up. Cached until the next state change; the
   /// shared_ptr keeps a snapshot valid for as long as any consumer (e.g. an
   /// EdgeSet over it) still holds it, through any number of later batches.
-  /// Publishing a new version copies the block tables only, and a batch
-  /// whose net live change is empty publishes nothing: the previous
-  /// snapshot object is returned again.
-  [[nodiscard]] std::shared_ptr<const Graph> snapshot() const;
+  ///
+  /// A new version is the previous one with the block tables copied and
+  /// each row block and slot block the batch's net change touches copied
+  /// once (a block's rows are merged with all of their edits in one pass);
+  /// every other block is shared. A batch whose net live change is empty
+  /// publishes nothing: the previous snapshot object is returned again.
+  [[nodiscard]] std::shared_ptr<const Graph> snapshot();
 
   /// The change record from the snapshot a consumer took at `version`
   /// (the version() it read right after snapshot()) to the current
@@ -141,27 +136,16 @@ class DynamicGraph {
   /// gives the delta). A slot freed by one snapshot is reused no earlier
   /// than the next one, so a consumer that retires the removed slots'
   /// owners before it publishes never sees one slot hold two edges.
-  [[nodiscard]] const GraphDelta* change_since(std::uint64_t version) const;
+  [[nodiscard]] const GraphDelta* change_since(std::uint64_t version);
 
  private:
   struct RowStore;
-  using SlotStore = std::vector<Edge>;
 
   [[nodiscard]] bool edge_live(const Edge& e) const;
-  /// Live-topology edits of the working version.
-  void live_insert(NodeId a, NodeId b);
-  void live_remove(NodeId a, NodeId b);
-  void row_insert(NodeId x, NodeId neighbor, EdgeId slot);
-  void row_erase(NodeId x, NodeId neighbor);
-  void count_degree(Dist from, Dist to);
-  /// Starts a batch after a publish: blocks the published snapshot now
-  /// shares stop being private, and the slots it freed become free.
-  void begin_edit();
-  void set_slot(EdgeId slot, const Edge& e);
-  [[nodiscard]] EdgeId take_slot();
-  /// The working version's private copy of a block (copied on first use).
-  RowStore& own_row_block(std::size_t block);
-  SlotStore& own_slot_block(std::size_t block);
+  [[nodiscard]] EdgeId take_slot(std::size_t& bound);
+  /// The previous snapshot with `change` applied: copies the tables and
+  /// each touched block once.
+  [[nodiscard]] Graph next_version(const Graph& prev, const GraphDelta& change);
 
   NodeId n_ = 0;
   /// Stored adjacency (sorted rows), liveness-agnostic.
@@ -169,32 +153,22 @@ class DynamicGraph {
   std::vector<std::uint8_t> up_;
   std::size_t stored_edges_ = 0;
   std::uint64_t version_ = 0;
-
-  /// The working version: the current snapshot plus this batch's edits.
-  /// Blocks listed in own_rows_ / own_slots_ are private to it; every
-  /// other block is shared with published snapshots and is never written.
-  Graph work_;
-  std::vector<std::shared_ptr<RowStore>> own_rows_;
-  std::vector<std::shared_ptr<SlotStore>> own_slots_;
-  std::vector<std::size_t> own_row_list_;
-  std::vector<std::size_t> own_slot_list_;
-  /// Number of rows of each degree in work_, for its max_degree.
+  /// Number of rows of each degree in the current snapshot, for the next
+  /// one's max_degree.
   std::vector<std::size_t> degree_rows_;
-  /// Slots free for this batch, and slots this batch freed (free from the
-  /// next snapshot on).
+  /// Slots free for the next snapshot, and slots the current one freed
+  /// (free from the snapshot after it on).
   std::vector<EdgeId> free_slots_;
   std::vector<EdgeId> freed_slots_;
 
   /// Edges / nodes whose events arrived since the last materialized
   /// snapshot — the candidates of its change record (cleared by snapshot()).
-  mutable std::vector<Edge> pending_edges_;
-  mutable std::vector<NodeId> pending_nodes_;
-  mutable std::uint64_t snapshot_version_ = 0;
-  mutable std::shared_ptr<const Graph> snapshot_;
-  mutable GraphDelta change_;
-  mutable std::uint64_t change_base_ = 0;
-  /// Set when snapshot() publishes work_; begin_edit() clears it.
-  mutable bool published_ = false;
+  std::vector<Edge> pending_edges_;
+  std::vector<NodeId> pending_nodes_;
+  std::uint64_t snapshot_version_ = 0;
+  std::shared_ptr<const Graph> snapshot_;
+  GraphDelta change_;
+  std::uint64_t change_base_ = 0;
 };
 
 /// Exact live-edge delta between two graphs of one node universe, with the

@@ -106,13 +106,13 @@ class DynamicGraph;
 
 class Graph {
  public:
-  /// Rows per row block, 2^kRowBlockShift: the unit a DynamicGraph batch
-  /// copies when it rewrites one row (about 11 KB at degree 10). A
-  /// one-event batch's snapshot phase measured 0.06-0.08 ms at n = 5000 and
-  /// 0.06-0.09 ms at n = 10^6 with 128 rows; 64 rows cost 0.11-0.13 ms at
-  /// 10^6 (twice the table to copy), 256 rows up to 0.12 ms at 5000 (twice
-  /// the bytes per copy). Static graphs read their one CSR directly, so
-  /// their builds do not depend on it.
+  /// Rows per row block, 2^kRowBlockShift: the unit a DynamicGraph
+  /// snapshot copies when its batch edits a row (about 11 KB at degree 10).
+  /// The snapshot phase measured 0.05-0.08 ms per 8-event batch at n = 5000
+  /// and 0.05-0.07 ms per 1-event batch at n = 10^6 with 128 rows; 64 rows
+  /// cost up to 0.11 ms at 10^6 (twice the table to copy), 256 rows up to
+  /// 0.09 ms at 5000 (twice the bytes per block). Static graphs read their
+  /// one CSR directly, so their builds do not depend on it.
   static constexpr unsigned kRowBlockShift = 7;
   static constexpr NodeId kRowBlockRows = NodeId{1} << kRowBlockShift;
   /// Slots per slot block of the id -> Edge table, 2^kSlotBlockShift.
