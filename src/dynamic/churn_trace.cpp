@@ -140,7 +140,8 @@ ChurnTrace read_churn_trace(std::istream& in) {
   // against the id limit and the machine's memory before anything does.
   const std::uint64_t nodes = lines.tagged_count("nodes");
   try {
-    detail::check_node_budget(nodes, DynamicGraph::kBytesPerNode + sizeof(std::size_t));
+    detail::check_node_budget(nodes, DynamicGraph::kBytesPerNode + sizeof(std::size_t),
+                              "per-node state");
   } catch (const CheckError& e) {
     lines.fail(e.what());
   }

@@ -33,7 +33,7 @@ bool row_erase(std::vector<NodeId>& row, NodeId v) {
 }
 
 NodeId checked_node_count(NodeId num_nodes) {
-  detail::check_node_budget(num_nodes, DynamicGraph::kBytesPerNode);
+  detail::check_node_budget(num_nodes, DynamicGraph::kBytesPerNode, "per-node state");
   return num_nodes;
 }
 

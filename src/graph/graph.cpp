@@ -59,15 +59,17 @@ std::size_t physical_memory_bytes() noexcept {
   return static_cast<std::size_t>(pages) * static_cast<std::size_t>(page_size);
 }
 
-void check_node_budget(std::size_t nodes, std::size_t bytes_per_node) {
-  if (nodes >= kInvalidNode) {
+void check_node_budget(std::size_t nodes, std::size_t bytes_per_node, const char* what) {
+  try {
+    check_graph_limits(nodes, 0);
+  } catch (const CheckError&) {
     throw CheckError("n = " + std::to_string(nodes) + " is over the node-id limit");
   }
   const std::size_t bytes = (nodes + 1) * bytes_per_node;
   const std::size_t physical = physical_memory_bytes();
   if (bytes > physical) {
     throw CheckError("n = " + std::to_string(nodes) + " needs " + std::to_string(bytes) +
-                     " bytes of per-node state, more than the machine's " +
+                     " bytes of " + what + ", more than the machine's " +
                      std::to_string(physical) + " bytes of physical memory");
   }
 }

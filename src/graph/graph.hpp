@@ -55,9 +55,9 @@ void check_graph_limits(std::size_t nodes, std::size_t edges);
 [[nodiscard]] std::size_t physical_memory_bytes() noexcept;
 
 /// Checks a node count before anything is sized by it: within
-/// check_graph_limits, and nodes * bytes_per_node within physical memory.
-/// Throws CheckError naming both figures.
-void check_node_budget(std::size_t nodes, std::size_t bytes_per_node);
+/// check_graph_limits, and (nodes + 1) * bytes_per_node bytes of `what`
+/// within physical memory. Throws CheckError naming the figures.
+void check_node_budget(std::size_t nodes, std::size_t bytes_per_node, const char* what);
 
 /// std::allocator whose value-less construct default-initialises, so
 /// resize() leaves trivial elements unwritten, for buffers whose slots are

@@ -69,16 +69,9 @@ bool take_id(std::string_view& rest, NodeId& out) noexcept {
 /// machine's physical memory.
 void check_declared_nodes(std::size_t line_no, NodeId n) {
   try {
-    detail::check_graph_limits(n, 0);
-  } catch (const CheckError&) {
-    reject(line_no, "n = " + std::to_string(n) + " is over the node-id limit");
-  }
-  const std::size_t offsets_bytes = (std::size_t{n} + 1) * sizeof(std::size_t);
-  const std::size_t physical = detail::physical_memory_bytes();
-  if (offsets_bytes > physical) {
-    reject(line_no, "n = " + std::to_string(n) + " needs " + std::to_string(offsets_bytes) +
-                        " bytes of node offsets, more than the machine's " +
-                        std::to_string(physical) + " bytes of physical memory");
+    detail::check_node_budget(n, sizeof(std::size_t), "node offsets");
+  } catch (const CheckError& e) {
+    reject(line_no, e.what());
   }
 }
 
