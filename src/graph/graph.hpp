@@ -119,14 +119,6 @@ class Graph {
   static constexpr unsigned kSlotBlockShift = 10;
   static constexpr EdgeId kSlotBlockSlots = EdgeId{1} << kSlotBlockShift;
 
-  /// Where one row block's rows live: row b * kRowBlockRows + r spans
-  /// adj[off[r], off[r + 1]) and ids[off[r], off[r + 1]).
-  struct RowBlock {
-    const std::size_t* off = nullptr;
-    const NodeId* adj = nullptr;
-    const EdgeId* ids = nullptr;
-  };
-
   Graph() = default;
 
   /// Builds from a canonical, deduplicated, sorted edge list (GraphBuilder
@@ -232,6 +224,14 @@ class Graph {
  private:
   friend class DynamicGraph;
   struct Store;
+
+  /// Where one row block's rows live: row b * kRowBlockRows + r spans
+  /// adj[off[r], off[r + 1]) and ids[off[r], off[r + 1]).
+  struct RowBlock {
+    const std::size_t* off = nullptr;
+    const NodeId* adj = nullptr;
+    const EdgeId* ids = nullptr;
+  };
 
   /// Points the row-block and slot-block tables into base_.
   void index_base();
