@@ -99,7 +99,6 @@ struct ProbeResult {
   std::size_t nodes = 0;
   std::size_t edges = 0;
   std::map<std::string, std::uint64_t> counters;  ///< summed over the batches
-  bool local = false;  ///< blocks copied within 3 per event (2 rows + 1 slot block)
   double amortized_seconds = 0.0;
 };
 
@@ -129,7 +128,6 @@ ProbeResult run_probe(std::size_t n, const TreeRule& rule, std::uint64_t seed) {
     const auto it = work.counters.find(key);
     result.counters[key] = it == work.counters.end() ? 0 : it->second;
   }
-  result.local = result.counters["dynamic.blocks_copied"] <= 3 * kProbeBatches;
   result.amortized_seconds = seconds / static_cast<double>(kProbeBatches);
   return result;
 }
@@ -153,7 +151,6 @@ void report_probe(const ProbeResult& probe, std::size_t n, Report& report) {
   report.value("probe_nodes_expanded", probe.counters.at("bfs.nodes_expanded"));
   report.value("probe_dirty_roots", probe.counters.at("inc.dirty_roots"));
   report.value("probe_refcount_churn", probe.counters.at("inc.refcount_churn"));
-  report.value("probe_local", probe.local ? 1 : 0);
 }
 
 }  // namespace

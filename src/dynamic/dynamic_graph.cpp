@@ -248,7 +248,6 @@ Graph DynamicGraph::next_version(const Graph& prev, const GraphDelta& change) {
     next.rows_[block] = Graph::RowBlock{store->off.data(), store->adj.data(), store->ids.data()};
     next.row_owners_[block] = std::move(store);
   }
-  next.whole_ = Graph::RowBlock{};
   next.max_degree_ = static_cast<Dist>(degree_rows_.size() - 1);
   while (next.max_degree_ > 0 && degree_rows_[next.max_degree_] == 0) --next.max_degree_;
 

@@ -9,19 +9,18 @@
 
 namespace remspan {
 
-std::vector<NodeId> collect_dirty_roots(const Graph& old_graph, const Graph& new_graph,
-                                        std::span<const NodeId> touched, Dist radius,
-                                        BoundedBfs& bfs, std::vector<std::uint8_t>& flag) {
-  return collect_dirty_roots_split(old_graph, new_graph, touched, touched, radius, bfs, flag);
-}
+namespace {
 
-std::vector<NodeId> collect_dirty_roots_split(const Graph& old_graph, const Graph& new_graph,
-                                              std::span<const NodeId> removed_touched,
-                                              std::span<const NodeId> inserted_touched,
-                                              Dist radius, BoundedBfs& bfs,
-                                              std::vector<std::uint8_t>& flag) {
+/// collect_dirty_roots_split on a `flag` that is all zero on entry, sized to
+/// the node universe: only the dirty entries are set, and they are reset
+/// before returning, so a call costs its balls, not O(n). The engine keeps
+/// its flag private and always zero between batches.
+std::vector<NodeId> expand_dirty_roots(const Graph& old_graph, const Graph& new_graph,
+                                       std::span<const NodeId> removed_touched,
+                                       std::span<const NodeId> inserted_touched, Dist radius,
+                                       BoundedBfs& bfs, std::vector<std::uint8_t>& flag) {
   REMSPAN_CHECK(old_graph.num_nodes() == new_graph.num_nodes());
-  if (flag.size() != old_graph.num_nodes()) flag.assign(old_graph.num_nodes(), 0);
+  REMSPAN_CHECK(flag.size() == old_graph.num_nodes());
   std::vector<NodeId> dirty;
   const auto mark = [&](const std::vector<NodeId>& ball) {
     for (const NodeId v : ball) {
@@ -52,6 +51,24 @@ std::vector<NodeId> collect_dirty_roots_split(const Graph& old_graph, const Grap
   return dirty;
 }
 
+}  // namespace
+
+std::vector<NodeId> collect_dirty_roots(const Graph& old_graph, const Graph& new_graph,
+                                        std::span<const NodeId> touched, Dist radius,
+                                        BoundedBfs& bfs, std::vector<std::uint8_t>& flag) {
+  return collect_dirty_roots_split(old_graph, new_graph, touched, touched, radius, bfs, flag);
+}
+
+std::vector<NodeId> collect_dirty_roots_split(const Graph& old_graph, const Graph& new_graph,
+                                              std::span<const NodeId> removed_touched,
+                                              std::span<const NodeId> inserted_touched,
+                                              Dist radius, BoundedBfs& bfs,
+                                              std::vector<std::uint8_t>& flag) {
+  flag.assign(old_graph.num_nodes(), 0);
+  return expand_dirty_roots(old_graph, new_graph, removed_touched, inserted_touched, radius, bfs,
+                            flag);
+}
+
 IncrementalSpanner::IncrementalSpanner(DynamicGraph& graph, TreeRule rule)
     : dynamic_(&graph),
       rule_(rule),
@@ -61,6 +78,7 @@ IncrementalSpanner::IncrementalSpanner(DynamicGraph& graph, TreeRule rule)
       ref_(graph_->edge_id_bound(), 0),
       spanner_(*graph_),
       driver_(*graph_),
+      dirty_flag_(graph.num_nodes(), 0),
       dirty_bfs_(graph.num_nodes()) {
   build_trees(locality_root_order(*graph_, kLocalityCluster));
   DynamicBitset bits(graph_->edge_id_bound());
@@ -159,9 +177,9 @@ ChurnBatchStats IncrementalSpanner::apply_batch(std::span<const GraphEvent> even
   {
     obs::PhaseSpan phase("inc.expand", "dynamic");
     stats.touched_nodes = touched_endpoints(*delta).size();
-    dirty_ = collect_dirty_roots_split(*old_graph, *new_graph, removed_endpoints(*delta),
-                                       inserted_endpoints(*delta), rule_.dirty_radius(),
-                                       dirty_bfs_, dirty_flag_);
+    dirty_ = expand_dirty_roots(*old_graph, *new_graph, removed_endpoints(*delta),
+                                inserted_endpoints(*delta), rule_.dirty_radius(), dirty_bfs_,
+                                dirty_flag_);
   }
   stats.dirty_roots = dirty_.size();
 

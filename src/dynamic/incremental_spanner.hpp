@@ -63,9 +63,10 @@ namespace remspan {
 /// @param radius     Ball radius of the expansion, in hops.
 /// @param bfs        Scratch BFS sized to the node universe (reused across
 ///                   batches to avoid reallocation).
-/// @param flag       Scratch per-node byte vector, empty or all zero: sized
-///                   to the node universe on first use and left all zero
-///                   (only the dirty entries are set and reset).
+/// @param flag       Scratch per-node byte vector; resized and cleared
+///                   inside. (IncrementalSpanner runs the same expansion
+///                   on a private flag it keeps all zero between batches,
+///                   so its batches skip this O(n) clear.)
 /// @return           Dirty roots in increasing node-id order.
 [[nodiscard]] std::vector<NodeId> collect_dirty_roots(const Graph& old_graph,
                                                       const Graph& new_graph,
@@ -169,6 +170,7 @@ class IncrementalSpanner {
   std::size_t spanner_edges_ = 0;
   TreeUnionDriver driver_;
   std::vector<NodeId> dirty_;
+  /// Per-node dirty mark, all zero between batches.
   std::vector<std::uint8_t> dirty_flag_;
   BoundedBfs dirty_bfs_;
 };

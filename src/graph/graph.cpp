@@ -203,7 +203,6 @@ void Graph::index_base() {
   for (std::size_t j = 0; j < slots_.size(); ++j) {
     slots_[j] = st.edges.data() + (j << kSlotBlockShift);
   }
-  whole_ = RowBlock{st.offsets.data(), st.adj.data(), st.ids.data()};
   base_edges_ = st.edges.data();
   canonical_ = true;
 }

@@ -111,8 +111,8 @@ class Graph {
   /// The snapshot phase measured 0.05-0.08 ms per 8-event batch at n = 5000
   /// and 0.05-0.07 ms per 1-event batch at n = 10^6 with 128 rows; 64 rows
   /// cost up to 0.11 ms at 10^6 (twice the table to copy), 256 rows up to
-  /// 0.09 ms at 5000 (twice the bytes per block). Static graphs read their
-  /// one CSR directly, so their builds do not depend on it.
+  /// 0.09 ms at 5000 (twice the bytes per block). A static graph's table
+  /// points into its one CSR, one entry per kRowBlockRows rows of it.
   static constexpr unsigned kRowBlockShift = 7;
   static constexpr NodeId kRowBlockRows = NodeId{1} << kRowBlockShift;
   /// Slots per slot block of the id -> Edge table, 2^kSlotBlockShift.
@@ -192,15 +192,11 @@ class Graph {
     return {base_edges_, num_edges_};
   }
 
-  /// Calls fn(edge, id) for every edge in canonical node-pair order: the
-  /// order edges() lists, on any graph (walking edges() where ids are
-  /// canonical, the rows otherwise).
+  /// Calls fn(edge, id) for every edge in canonical node-pair order, the
+  /// order edges() lists, on any graph: walks each row's entries above its
+  /// own node.
   template <typename Fn>
   void for_each_edge(Fn&& fn) const {
-    if (canonical_) {
-      for (std::size_t id = 0; id < num_edges_; ++id) fn(base_edges_[id], static_cast<EdgeId>(id));
-      return;
-    }
     for (NodeId u = 0; u < num_nodes_; ++u) {
       const auto nbrs = neighbors(u);
       const auto ids = incident_edges(u);
@@ -236,14 +232,8 @@ class Graph {
   /// Points the row-block and slot-block tables into base_.
   void index_base();
 
-  /// The block holding row u, and u's row index `r` in it. While the rows
-  /// are one contiguous CSR (every from_canonical_edges graph), that CSR
-  /// is read as a single block: the static hot path pays no table lookup.
+  /// The block holding row u, and u's row index `r` in it.
   [[nodiscard]] const RowBlock& block_of(NodeId u, std::size_t& r) const noexcept {
-    if (whole_.off != nullptr) {
-      r = u;
-      return whole_;
-    }
     r = u & (kRowBlockRows - 1);
     return rows_[u >> kRowBlockShift];
   }
@@ -252,9 +242,6 @@ class Graph {
   std::size_t num_edges_ = 0;
   std::size_t edge_id_bound_ = 0;
   Dist max_degree_ = 0;
-  /// base_'s whole CSR as one block while no row has been copied, else
-  /// all null.
-  RowBlock whole_;
   /// Flat tables: one entry per row block and one pointer per slot block.
   /// No shared_ptr is touched on a read.
   std::vector<RowBlock> rows_;

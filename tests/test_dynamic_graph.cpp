@@ -455,14 +455,16 @@ TEST(ChurnTrace, OversizedDeclaredCountsThrowCheckError) {
 
 TEST(ChurnTrace, MalformedTokensThrowCheckErrorNamingTheLine) {
   // Every token is parsed whole: a sign, a suffix, an extra token or a node
-  // count no replay could allocate is a CheckError naming its line.
+  // count over the id limit is a CheckError naming its line. (The memory
+  // branch of the node check is machine-dependent; test_graph.cpp's
+  // NodeBudget test covers it directly.)
   const std::pair<const char*, const char*> malformed[] = {
       {"churntrace 1\nnodes 4\nedges 1\n0 -1\n", "line 4"},
       {"churntrace 1\nnodes 4\nedges 1\n0 1x\n", "line 4"},
       {"churntrace 1\nnodes 4\nedges 1\n0 1 2\n", "line 4"},
       {"churntrace 1\nnodes 4\nedges 1\n0 4\n", "line 4"},
       {"churntrace 1\nnodes -4\n", "line 2"},
-      {"churntrace 1\nnodes 4000000000\nedges 0\nbatches 0\n", "line 2"},
+      {"churntrace 1\nnodes 4294967295\nedges 0\nbatches 0\n", "line 2"},
       {"churntrace 1\nnodes 99999999999\nedges 0\nbatches 0\n", "line 2"},
       {"churntrace 1\nnodes 4\nedges 0\nbatches 1\nbatch 1\ne+ 0 +1\n", "line 6"},
       {"churntrace 1\nnodes 4\nedges 0\nbatches 1\nbatch 1\nn- 2 3\n", "line 6"},

@@ -126,6 +126,25 @@ TEST(Graph, OverflowGuardsRejectSentinelSizedUniverses) {
   EXPECT_THROW(detail::check_graph_limits(0, std::size_t{kInvalidEdge} + 7), CheckError);
 }
 
+TEST(Graph, NodeBudgetRejectsIdLimitAndMemoryWithoutAllocating) {
+  // Both branches on every machine: the id limit at the sentinel, and a
+  // per-node size no machine's physical memory holds (2^40 bytes a node
+  // for 2^20 nodes, an exabyte).
+  detail::check_node_budget(1000, sizeof(std::size_t), "node offsets");
+  const auto message = [](std::size_t nodes, std::size_t bytes_per_node) {
+    try {
+      detail::check_node_budget(nodes, bytes_per_node, "test state");
+    } catch (const CheckError& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_NE(message(kInvalidNode, 1).find("over the node-id limit"), std::string::npos);
+  const std::string memory = message(std::size_t{1} << 20, std::size_t{1} << 40);
+  EXPECT_NE(memory.find("bytes of test state, more than the machine's"), std::string::npos)
+      << memory;
+}
+
 TEST(Graph, CompleteGraphEdgeCount) {
   const Graph g = complete_graph(10);
   EXPECT_EQ(g.num_edges(), 45u);

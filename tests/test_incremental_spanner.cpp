@@ -289,6 +289,48 @@ TEST(IncrementalSpanner, InsertionOnlyBatchExpandsNewSnapshotBallOnly) {
   EXPECT_EQ(inc.last_dirty_roots(), expected);
 }
 
+TEST(IncrementalSpanner, CollectDirtyRootsIgnoresStaleScratchFlags) {
+  // The public expansion clears the caller's scratch flag itself: a flag of
+  // the right size full of stale marks yields the same dirty set as a fresh
+  // one, and both equal the engine's own (private-flag) dirty set.
+  const TreeRule cfg = TreeRule::k_connecting(2);
+  DynamicGraph dg(make_family(0, 9));
+  IncrementalSpanner inc(dg, cfg);
+  const auto old_graph = dg.snapshot();
+  std::vector<GraphEvent> batch;
+  std::vector<NodeId> removed;
+  std::vector<NodeId> inserted;
+  for (EdgeId id = 0; id < old_graph->num_edges(); id += 11) {
+    const Edge e = old_graph->edge(id);
+    batch.push_back(GraphEvent::edge_down(e.u, e.v));
+    removed.insert(removed.end(), {e.u, e.v});
+  }
+  const NodeId n = dg.num_nodes();
+  for (NodeId v = 0; v + 5 < n; v += 17) {
+    if (!old_graph->has_edge(v, v + 5)) {
+      batch.push_back(GraphEvent::edge_up(v, v + 5));
+      inserted.insert(inserted.end(), {v, v + 5});
+    }
+  }
+  for (auto* side : {&removed, &inserted}) {
+    std::sort(side->begin(), side->end());
+    side->erase(std::unique(side->begin(), side->end()), side->end());
+  }
+  inc.apply_batch(batch);
+  const auto new_graph = dg.snapshot();
+  ASSERT_FALSE(inc.last_dirty_roots().empty());
+
+  BoundedBfs bfs(n);
+  std::vector<std::uint8_t> fresh;
+  const std::vector<NodeId> from_fresh = collect_dirty_roots_split(
+      *old_graph, *new_graph, removed, inserted, cfg.dirty_radius(), bfs, fresh);
+  std::vector<std::uint8_t> stale(n, 1);
+  const std::vector<NodeId> from_stale = collect_dirty_roots_split(
+      *old_graph, *new_graph, removed, inserted, cfg.dirty_radius(), bfs, stale);
+  EXPECT_EQ(from_fresh, inc.last_dirty_roots());
+  EXPECT_EQ(from_stale, inc.last_dirty_roots());
+}
+
 TEST(IncrementalSpanner, AlternatingPureBatchesStayBitExactAndSuperset) {
   // Pure-removal and pure-insertion batches in alternation (each one takes
   // the single-BFS fast path) keep both core invariants: bit-exactness and
