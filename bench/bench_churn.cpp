@@ -57,8 +57,7 @@ ScenarioResult run_scenario(const std::string& name, const ChurnTrace& trace,
                             std::uint64_t seed) {
   ScenarioResult result;
   result.name = name;
-  DynamicGraph dg(trace.initial_graph());
-  IncrementalSpanner inc(dg, rule);
+  IncrementalSpanner inc(trace.initial_graph(), rule);
 
   double sum_dirty = 0.0;
   double sum_spanner = 0.0;
@@ -110,8 +109,7 @@ ProbeResult run_probe(std::size_t n, const TreeRule& rule, std::uint64_t seed) {
   result.nodes = gg.graph.num_nodes();
   result.edges = gg.graph.num_edges();
   const ChurnTrace trace = random_edge_churn_trace(gg.graph, kProbeBatches, 1, 0.0, seed + 1);
-  DynamicGraph dg(gg.graph);
-  IncrementalSpanner inc(dg, rule);
+  IncrementalSpanner inc(gg.graph, rule);
 
   // Counters are read as a delta, so an outer registry (REMSPAN_METRICS)
   // keeps counting; without one, a local registry is installed.

@@ -243,9 +243,7 @@ bool supports_incremental(const SpannerSpec& spec) {
 }
 
 IncrementalSession::IncrementalSession(const Graph& initial, const SpannerSpec& spec)
-    : spec_(spec),
-      dynamic_(initial),
-      engine_(std::make_unique<IncrementalSpanner>(dynamic_, incremental_config(spec))) {}
+    : spec_(spec), engine_(initial, incremental_config(spec)) {}
 
 std::unique_ptr<IncrementalSession> open_incremental_session(const Graph& initial,
                                                              const SpannerSpec& spec) {

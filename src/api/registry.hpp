@@ -140,42 +140,29 @@ class ConstructionRegistry {
 /// True when the spec's construction has a TreeRule.
 [[nodiscard]] bool supports_incremental(const SpannerSpec& spec);
 
-/// An incremental-maintenance session: owns the evolving topology (seeded
-/// from `initial`) and the engine maintaining the spec's spanner over it —
-/// the pairing every driver of src/dynamic needs (IncrementalSpanner
-/// borrows its DynamicGraph). Opened by spec; the C ABI's
-/// remspan_session_t wraps exactly this.
+/// An incremental-maintenance session: the engine maintaining the spec's
+/// spanner over the evolving topology it owns (seeded from `initial`).
+/// Opened by spec; the C ABI's remspan_session_t wraps exactly this.
 class IncrementalSession {
  public:
   /// Builds the initial spanner; throws SpecError for constructions without
   /// incremental support.
   IncrementalSession(const Graph& initial, const SpannerSpec& spec);
 
-  /// Not movable: the engine holds a reference to this object's
-  /// DynamicGraph member, so a moved-from session would leave the engine
-  /// pointing at dead storage. Hold sessions by unique_ptr (as
-  /// open_incremental_session returns them).
-  IncrementalSession(const IncrementalSession&) = delete;
-  IncrementalSession& operator=(const IncrementalSession&) = delete;
-  IncrementalSession(IncrementalSession&&) = delete;
-  IncrementalSession& operator=(IncrementalSession&&) = delete;
-
   [[nodiscard]] const SpannerSpec& spec() const noexcept { return spec_; }
-  [[nodiscard]] DynamicGraph& dynamic_graph() noexcept { return dynamic_; }
-  [[nodiscard]] IncrementalSpanner& engine() noexcept { return *engine_; }
-  [[nodiscard]] const IncrementalSpanner& engine() const noexcept { return *engine_; }
+  [[nodiscard]] IncrementalSpanner& engine() noexcept { return engine_; }
+  [[nodiscard]] const IncrementalSpanner& engine() const noexcept { return engine_; }
 
   /// Shorthands for the common queries.
-  [[nodiscard]] const Graph& graph() const noexcept { return engine_->graph(); }
-  [[nodiscard]] const EdgeSet& spanner() const noexcept { return engine_->spanner(); }
+  [[nodiscard]] const Graph& graph() const noexcept { return engine_.graph(); }
+  [[nodiscard]] const EdgeSet& spanner() const noexcept { return engine_.spanner(); }
   ChurnBatchStats apply_batch(std::span<const GraphEvent> events) {
-    return engine_->apply_batch(events);
+    return engine_.apply_batch(events);
   }
 
  private:
   SpannerSpec spec_;
-  DynamicGraph dynamic_;
-  std::unique_ptr<IncrementalSpanner> engine_;
+  IncrementalSpanner engine_;
 };
 
 /// Opens an incremental session for a spec (see IncrementalSession).

@@ -34,7 +34,6 @@
 namespace {
 
 using remspan::Dist;
-using remspan::DynamicGraph;
 using remspan::EdgeSet;
 using remspan::Graph;
 using remspan::GraphBuilder;
@@ -316,7 +315,7 @@ remspan_status_t remspan_session_apply(remspan_session_t* session,
     }
     // Validate the whole batch before touching any state, so a bad event
     // cannot leave the session half-applied.
-    const NodeId n = session->session->dynamic_graph().num_nodes();
+    const NodeId n = session->session->graph().num_nodes();
     std::vector<GraphEvent> batch;
     batch.reserve(num_events);
     for (size_t i = 0; i < num_events; ++i) {
@@ -379,7 +378,7 @@ remspan_status_t remspan_session_graph(const remspan_session_t* session,
     if (session == nullptr || out_graph == nullptr) {
       return fail(REMSPAN_ERR_INVALID_ARGUMENT, "null pointer argument");
     }
-    *out_graph = new remspan_graph{session->session->dynamic_graph().snapshot()};
+    *out_graph = new remspan_graph{session->session->engine().graph_ptr()};
     return REMSPAN_OK;
   } catch (...) {
     return trap(std::current_exception());

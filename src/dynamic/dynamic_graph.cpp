@@ -121,7 +121,10 @@ EdgeId DynamicGraph::take_slot(std::size_t& bound) {
 }
 
 std::shared_ptr<const Graph> DynamicGraph::snapshot() {
-  if (snapshot_version_ == version_) return snapshot_;
+  if (snapshot_version_ == version_) {
+    change_ = GraphDelta{};
+    return snapshot_;
+  }
   // Only edges named by an event since the last snapshot (directly, or
   // through a liveness toggle of an endpoint) can have changed live state.
   std::vector<Edge> candidates = std::move(pending_edges_);
@@ -159,7 +162,6 @@ std::shared_ptr<const Graph> DynamicGraph::snapshot() {
     snapshot_ = std::make_shared<const Graph>(std::move(next));
   }
   change_ = std::move(change);
-  change_base_ = snapshot_version_;
   snapshot_version_ = version_;
   return snapshot_;
 }
@@ -286,17 +288,9 @@ Graph DynamicGraph::next_version(const Graph& prev, const GraphDelta& change) {
   return next;
 }
 
-const GraphDelta* DynamicGraph::change_since(std::uint64_t version) {
-  static const GraphDelta kNoChange;
-  (void)snapshot();
-  if (version == snapshot_version_) return &kNoChange;
-  return version == change_base_ ? &change_ : nullptr;
-}
-
 GraphDelta diff_graphs(const Graph& old_graph, const Graph& new_graph) {
   REMSPAN_CHECK(old_graph.num_nodes() == new_graph.num_nodes());
   GraphDelta delta;
-  delta.old_to_new.assign(old_graph.edge_id_bound(), kInvalidEdge);
   // Row u's neighbors above u, in both graphs, are the edges (u, w) in
   // canonical order; merging them row by row walks both edge lists.
   for (NodeId u = 0; u < old_graph.num_nodes(); ++u) {
@@ -318,7 +312,6 @@ GraphDelta diff_graphs(const Graph& old_graph, const Graph& new_graph) {
         delta.inserted_new_ids.push_back(new_ids[j]);
         ++j;
       } else {
-        delta.old_to_new[old_ids[i]] = new_ids[j];
         ++i;
         ++j;
       }
@@ -329,12 +322,15 @@ GraphDelta diff_graphs(const Graph& old_graph, const Graph& new_graph) {
 
 namespace {
 
-std::vector<NodeId> endpoints_of(std::span<const Edge> edges) {
+/// Sorted unique endpoints of the edges of both lists.
+std::vector<NodeId> endpoints_of(std::span<const Edge> edges, std::span<const Edge> more = {}) {
   std::vector<NodeId> out;
-  out.reserve(2 * edges.size());
-  for (const Edge& e : edges) {
-    out.push_back(e.u);
-    out.push_back(e.v);
+  out.reserve(2 * (edges.size() + more.size()));
+  for (const std::span<const Edge> list : {edges, more}) {
+    for (const Edge& e : list) {
+      out.push_back(e.u);
+      out.push_back(e.v);
+    }
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -344,19 +340,7 @@ std::vector<NodeId> endpoints_of(std::span<const Edge> edges) {
 }  // namespace
 
 std::vector<NodeId> touched_endpoints(const GraphDelta& delta) {
-  std::vector<NodeId> touched;
-  touched.reserve(2 * (delta.removed.size() + delta.inserted.size()));
-  for (const Edge& e : delta.removed) {
-    touched.push_back(e.u);
-    touched.push_back(e.v);
-  }
-  for (const Edge& e : delta.inserted) {
-    touched.push_back(e.u);
-    touched.push_back(e.v);
-  }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  return touched;
+  return endpoints_of(delta.removed, delta.inserted);
 }
 
 std::vector<NodeId> removed_endpoints(const GraphDelta& delta) {

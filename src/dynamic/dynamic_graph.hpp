@@ -11,10 +11,9 @@
 // tables and the row blocks and slot blocks its batch touched, and shares
 // every other block with the one before. Each snapshot comes with its
 // change record (the live edges it removed and inserted, with their
-// slots), which is what IncrementalSpanner, ReconvergenceSim and the
-// service consume: per-edge state (refcounts, spanner bits) is keyed by
-// slot and needs no remap.
-// diff_graphs() stays as a row-walking utility for two arbitrary graphs.
+// slots), which the topology's one owner — an IncrementalSpanner or a
+// ReconvergenceSim — consumes: per-edge state (refcounts, spanner bits) is
+// keyed by slot and needs no remap.
 #pragma once
 
 #include <cstdint>
@@ -54,17 +53,12 @@ struct GraphEvent {
   friend bool operator==(const GraphEvent&, const GraphEvent&) = default;
 };
 
-/// The live-edge difference between two graphs of one node universe:
-/// DynamicGraph::last_change() (slots are stable, so old_to_new stays
-/// empty) and diff_graphs() (which also maps every surviving old id).
+/// The live-edge difference between two graphs of one node universe.
 struct GraphDelta {
   std::vector<Edge> removed;              ///< in old, not in new (canonical order)
   std::vector<EdgeId> removed_old_ids;    ///< parallel to removed
   std::vector<Edge> inserted;             ///< in new, not in old (canonical order)
   std::vector<EdgeId> inserted_new_ids;   ///< parallel to inserted
-  /// diff_graphs only: old edge id -> new edge id for surviving edges
-  /// (kInvalidEdge for removed ones and holes).
-  std::vector<EdgeId> old_to_new;
 
   [[nodiscard]] bool empty() const noexcept { return removed.empty() && inserted.empty(); }
 };
@@ -127,16 +121,14 @@ class DynamicGraph {
   /// publishes nothing: the previous snapshot object is returned again.
   [[nodiscard]] std::shared_ptr<const Graph> snapshot();
 
-  /// The change record from the snapshot a consumer took at `version`
-  /// (the version() it read right after snapshot()) to the current
-  /// snapshot: the live edges removed, with the slots they held, and
-  /// inserted, with the slots they took, both in canonical order. An edge
-  /// live in both keeps its slot. Empty when that snapshot is the current
-  /// one; nullptr when it is older than the one before (diff_graphs then
-  /// gives the delta). A slot freed by one snapshot is reused no earlier
-  /// than the next one, so a consumer that retires the removed slots'
-  /// owners before it publishes never sees one slot hold two edges.
-  [[nodiscard]] const GraphDelta* change_since(std::uint64_t version);
+  /// The change record of the latest snapshot() call: the live edges the
+  /// snapshot it returned removed from the one before, with the slots they
+  /// held, and inserted, with the slots they took, both in canonical order.
+  /// An edge live in both keeps its slot. Empty when that call returned the
+  /// previous snapshot again. A slot freed by one snapshot is reused no
+  /// earlier than the next one, so a consumer that retires the removed
+  /// slots' owners before it publishes never sees one slot hold two edges.
+  [[nodiscard]] const GraphDelta& last_change() const noexcept { return change_; }
 
  private:
   struct RowStore;
@@ -168,11 +160,10 @@ class DynamicGraph {
   std::uint64_t snapshot_version_ = 0;
   std::shared_ptr<const Graph> snapshot_;
   GraphDelta change_;
-  std::uint64_t change_base_ = 0;
 };
 
-/// Exact live-edge delta between two graphs of one node universe, with the
-/// old -> new id map: merge-walks both graphs' rows in canonical order,
+/// Exact live-edge delta between two arbitrary graphs of one node
+/// universe: merge-walks both graphs' rows in canonical order,
 /// O(n + m_old + m_new). Survivors are matched by node pair, whatever
 /// their ids.
 [[nodiscard]] GraphDelta diff_graphs(const Graph& old_graph, const Graph& new_graph);

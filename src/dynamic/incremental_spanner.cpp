@@ -11,10 +11,9 @@ namespace remspan {
 
 namespace {
 
-/// collect_dirty_roots_split on a `flag` that is all zero on entry, sized to
-/// the node universe: only the dirty entries are set, and they are reset
-/// before returning, so a call costs its balls, not O(n). The engine keeps
-/// its flag private and always zero between batches.
+/// The expansion on a `flag` that is all zero on entry, sized to the node
+/// universe: only the dirty entries are set, and they are reset before
+/// returning.
 std::vector<NodeId> expand_dirty_roots(const Graph& old_graph, const Graph& new_graph,
                                        std::span<const NodeId> removed_touched,
                                        std::span<const NodeId> inserted_touched, Dist radius,
@@ -53,12 +52,6 @@ std::vector<NodeId> expand_dirty_roots(const Graph& old_graph, const Graph& new_
 
 }  // namespace
 
-std::vector<NodeId> collect_dirty_roots(const Graph& old_graph, const Graph& new_graph,
-                                        std::span<const NodeId> touched, Dist radius,
-                                        BoundedBfs& bfs, std::vector<std::uint8_t>& flag) {
-  return collect_dirty_roots_split(old_graph, new_graph, touched, touched, radius, bfs, flag);
-}
-
 std::vector<NodeId> collect_dirty_roots_split(const Graph& old_graph, const Graph& new_graph,
                                               std::span<const NodeId> removed_touched,
                                               std::span<const NodeId> inserted_touched,
@@ -69,17 +62,23 @@ std::vector<NodeId> collect_dirty_roots_split(const Graph& old_graph, const Grap
                             flag);
 }
 
-IncrementalSpanner::IncrementalSpanner(DynamicGraph& graph, TreeRule rule)
-    : dynamic_(&graph),
+std::vector<NodeId> DirtyRootExpander::expand(const Graph& old_graph, const Graph& new_graph,
+                                              std::span<const NodeId> removed_touched,
+                                              std::span<const NodeId> inserted_touched,
+                                              Dist radius) {
+  return expand_dirty_roots(old_graph, new_graph, removed_touched, inserted_touched, radius, bfs_,
+                            flag_);
+}
+
+IncrementalSpanner::IncrementalSpanner(const Graph& initial, TreeRule rule)
+    : dynamic_(initial),
       rule_(rule),
-      graph_(graph.snapshot()),
-      version_(graph.version()),
+      graph_(dynamic_.snapshot()),
       trees_(graph_->num_nodes()),
       ref_(graph_->edge_id_bound(), 0),
       spanner_(*graph_),
       driver_(*graph_),
-      dirty_flag_(graph.num_nodes(), 0),
-      dirty_bfs_(graph.num_nodes()) {
+      expander_(graph_->num_nodes()) {
   build_trees(locality_root_order(*graph_, kLocalityCluster));
   DynamicBitset bits(graph_->edge_id_bound());
   for (EdgeId id = 0; id < ref_.size(); ++id) {
@@ -124,50 +123,23 @@ ChurnBatchStats IncrementalSpanner::apply_batch(std::span<const GraphEvent> even
   dirty_.clear();
   const std::shared_ptr<const Graph> old_graph = graph_;
   std::shared_ptr<const Graph> new_graph;
-  // The change record since this engine's snapshot: the DynamicGraph's own
-  // when it starts there, else (the graph was snapshotted by someone else
-  // in between) a row diff. The diff matches survivors by node pair, so an
-  // edge that came back in another slot is retired and re-added here.
-  GraphDelta diffed;
-  const GraphDelta* delta = nullptr;
   {
     obs::PhaseSpan phase("dynamic.snapshot", "dynamic");
-    stats.applied_events = dynamic_->apply_all(events);
-    stats.version = dynamic_->version();
-    new_graph = dynamic_->snapshot();
-    delta = dynamic_->change_since(version_);
-    if (delta == nullptr) {
-      diffed = diff_graphs(*old_graph, *new_graph);
-      for (EdgeId id = 0; id < diffed.old_to_new.size(); ++id) {
-        const EdgeId moved = diffed.old_to_new[id];
-        if (moved == kInvalidEdge || moved == id) continue;
-        diffed.removed.push_back(old_graph->edge(id));
-        diffed.removed_old_ids.push_back(id);
-        diffed.inserted.push_back(new_graph->edge(moved));
-        diffed.inserted_new_ids.push_back(moved);
-      }
-      delta = &diffed;
-    }
+    stats.applied_events = dynamic_.apply_all(events);
+    stats.version = dynamic_.version();
+    new_graph = dynamic_.snapshot();
   }
-  version_ = stats.version;
-  if (delta->empty()) {
+  const GraphDelta& delta = dynamic_.last_change();
+  if (delta.empty()) {
     // No live-topology change (all no-ops, or updates masked by down
-    // nodes): the spanner stands as-is, over the same slots.
-    if (new_graph != old_graph) {
-      graph_ = new_graph;
-      ref_.resize(graph_->edge_id_bound(), 0);
-      DynamicBitset bits = std::move(spanner_).release_bits();
-      bits.resize(graph_->edge_id_bound());
-      spanner_ = EdgeSet(*graph_, std::move(bits));
-      driver_.rebind(*graph_);
-    }
+    // nodes): no new snapshot, and the spanner stands as-is.
     stats.spanner_edges = spanner_edges_;
     stats.seconds = span.seconds();
     if (obs::Registry* m = obs::metrics()) m->counter("inc.noop_batches").add(1);
     return stats;
   }
-  stats.removed_edges = delta->removed.size();
-  stats.inserted_edges = delta->inserted.size();
+  stats.removed_edges = delta.removed.size();
+  stats.inserted_edges = delta.inserted.size();
 
   // Dirty roots, one bounded BFS per side with a changed edge: removals
   // matter at OLD distances (the stored trees read them there), insertions
@@ -176,10 +148,9 @@ ChurnBatchStats IncrementalSpanner::apply_batch(std::span<const GraphEvent> even
   // collect_dirty_roots_split for why the per-side expansion stays exact.
   {
     obs::PhaseSpan phase("inc.expand", "dynamic");
-    stats.touched_nodes = touched_endpoints(*delta).size();
-    dirty_ = expand_dirty_roots(*old_graph, *new_graph, removed_endpoints(*delta),
-                                inserted_endpoints(*delta), rule_.dirty_radius(), dirty_bfs_,
-                                dirty_flag_);
+    stats.touched_nodes = touched_endpoints(delta).size();
+    dirty_ = expander_.expand(*old_graph, *new_graph, removed_endpoints(delta),
+                              inserted_endpoints(delta), rule_.dirty_radius());
   }
   stats.dirty_roots = dirty_.size();
 
@@ -201,7 +172,7 @@ ChurnBatchStats IncrementalSpanner::apply_batch(std::span<const GraphEvent> even
     // Every tree is contained in its root's dirty ball, so a removed edge
     // can only have been owned by dirty roots — all retired by now. A
     // nonzero count here would mean the dirty set missed an owner.
-    for (const EdgeId old_id : delta->removed_old_ids) {
+    for (const EdgeId old_id : delta.removed_old_ids) {
       REMSPAN_CHECK(ref_[old_id] == 0);
     }
   }

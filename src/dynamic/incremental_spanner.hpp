@@ -12,11 +12,12 @@
 // alike. Per batch of updates the engine
 //
 //   1. takes the new copy-on-write snapshot and its change record from the
-//      DynamicGraph (removed and inserted edges with their slots; an edge
-//      id is a slot that stays put while the edge is live, so per-edge
-//      state carries over with no remap),
+//      DynamicGraph it owns (removed and inserted edges with their slots;
+//      an edge id is a slot that stays put while the edge is live, so
+//      per-edge state carries over with no remap),
 //   2. expands the dirty-root set with one multi-source bounded BFS of
-//      radius dirty_radius() from the touched endpoints in each snapshot,
+//      radius dirty_radius() per side: from the removed edges' endpoints
+//      in the old snapshot and the inserted ones' in the new,
 //   3. retires the dirty roots' old tree edges from a per-edge refcount
 //      union (refcount = how many roots' trees currently contain the edge),
 //   4. re-runs only the dirty roots' tree builds through the shared
@@ -36,6 +37,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -47,36 +49,19 @@
 namespace remspan {
 
 /// Computes the sorted set of roots within `radius` hops of a touched
-/// endpoint in either snapshot (removals dirty roots at old distances,
-/// insertions at new ones) with one multi-source bounded BFS per snapshot.
+/// endpoint, per side: `removed_touched` expanded only in the OLD snapshot
+/// (removals dirty roots at old distances) and `inserted_touched` only in
+/// the NEW one (insertions at new distances), one multi-source bounded BFS
+/// per non-empty side.
 ///
 /// This is the locality primitive shared by the whole dynamic stack: the
 /// IncrementalSpanner rebuilds exactly these roots' trees per batch, and
 /// the protocol-level ReconvergenceSim (src/sim/reconvergence.hpp) scopes
-/// re-advertisement to the same set — with radius = flood scope, these are
-/// precisely the nodes whose B(u, scope) topology knowledge may have
-/// changed.
+/// re-advertisement to the set it gets by passing every touched endpoint
+/// on both sides — with radius = flood scope, these are precisely the
+/// nodes whose B(u, scope) topology knowledge may have changed.
 ///
-/// @param old_graph  Snapshot before the batch (same node universe as new).
-/// @param new_graph  Snapshot after the batch.
-/// @param touched    Endpoints of the changed edges (touched_endpoints()).
-/// @param radius     Ball radius of the expansion, in hops.
-/// @param bfs        Scratch BFS sized to the node universe (reused across
-///                   batches to avoid reallocation).
-/// @param flag       Scratch per-node byte vector; resized and cleared
-///                   inside. (IncrementalSpanner runs the same expansion
-///                   on a private flag it keeps all zero between batches,
-///                   so its batches skip this O(n) clear.)
-/// @return           Dirty roots in increasing node-id order.
-[[nodiscard]] std::vector<NodeId> collect_dirty_roots(const Graph& old_graph,
-                                                      const Graph& new_graph,
-                                                      std::span<const NodeId> touched, Dist radius,
-                                                      BoundedBfs& bfs,
-                                                      std::vector<std::uint8_t>& flag);
-
-/// Per-side variant — the decremental/incremental fast path: expands
-/// `removed_touched` only in the OLD snapshot and `inserted_touched` only
-/// in the NEW one. Exact by the same dependency argument as above, one
+/// The per-side expansion is exact by the same dependency argument, one
 /// direction each:
 ///   * a root w clean under this seeding reads no removed edge (it would
 ///     need an endpoint within `radius` at old distances) and no inserted
@@ -86,8 +71,9 @@ namespace remspan {
 ///     inserted endpoint inside it — so the two balls and everything the
 ///     deterministic tree build reads coincide, and w's tree is unchanged.
 /// A removal-only batch thus costs ONE bounded BFS (the new-graph side has
-/// no seeds), an insertion-only batch likewise, and mixed batches get a
-/// strictly smaller dirty set than the symmetric expansion.
+/// no seeds), an insertion-only batch likewise. The set is the symmetric
+/// expansion's: every changed edge has both endpoints touched, so a path
+/// in either snapshot, cut at its last touched node, runs on common edges.
 ///
 /// NOTE an edge removal outside every stored tree (union refcount 0) does
 /// NOT permit skipping its ball: the greedy/MIS builds read non-tree edges
@@ -95,10 +81,36 @@ namespace remspan {
 /// pick (tests/test_incremental_spanner.cpp pins a counterexample). The
 /// ROADMAP's stronger "refcount-0 removal needs no rebuild" conjecture is
 /// refuted — this per-side expansion is the exact sound fast path.
+///
+/// @param bfs   Scratch BFS sized to the node universe.
+/// @param flag  Scratch per-node byte vector; resized and cleared inside
+///              (DirtyRootExpander keeps its own all zero instead, so its
+///              calls skip this O(n) clear).
+/// @return      Dirty roots in increasing node-id order.
 [[nodiscard]] std::vector<NodeId> collect_dirty_roots_split(
     const Graph& old_graph, const Graph& new_graph, std::span<const NodeId> removed_touched,
     std::span<const NodeId> inserted_touched, Dist radius, BoundedBfs& bfs,
     std::vector<std::uint8_t>& flag);
+
+/// collect_dirty_roots_split on private scratch sized to one node universe:
+/// the flag is all zero between calls (only the dirty entries are set, and
+/// reset before returning), so a call costs its balls, not O(n). The
+/// IncrementalSpanner and the ReconvergenceSim each hold one.
+class DirtyRootExpander {
+ public:
+  explicit DirtyRootExpander(NodeId num_nodes) : bfs_(num_nodes), flag_(num_nodes, 0) {}
+
+  /// The dirty roots of collect_dirty_roots_split, over graphs of this
+  /// expander's node universe.
+  [[nodiscard]] std::vector<NodeId> expand(const Graph& old_graph, const Graph& new_graph,
+                                           std::span<const NodeId> removed_touched,
+                                           std::span<const NodeId> inserted_touched,
+                                           Dist radius);
+
+ private:
+  BoundedBfs bfs_;
+  std::vector<std::uint8_t> flag_;
+};
 
 /// Per-batch accounting, reported by bench_churn and the remspan_tool
 /// churn-replay mode.
@@ -117,16 +129,21 @@ struct ChurnBatchStats {
 
 class IncrementalSpanner {
  public:
-  /// Builds the full spanner of `rule` on the dynamic graph's current
-  /// snapshot, recording every root's tree edges and the per-edge
-  /// refcounts. The DynamicGraph must outlive the engine.
-  IncrementalSpanner(DynamicGraph& graph, TreeRule rule);
+  /// Adopts `initial` as the evolving topology (all nodes up) and builds
+  /// the full spanner of `rule` on it, recording every root's tree edges
+  /// and the per-edge refcounts.
+  IncrementalSpanner(const Graph& initial, TreeRule rule);
 
   [[nodiscard]] const TreeRule& rule() const noexcept { return rule_; }
 
-  /// The snapshot the maintained spanner refers to.
+  /// The evolving topology. Only apply_batch() changes it.
+  [[nodiscard]] const DynamicGraph& dynamic_graph() const noexcept { return dynamic_; }
+
+  /// The snapshot the maintained spanner refers to, and a handle that
+  /// keeps it alive through later batches.
   [[nodiscard]] const Graph& graph() const noexcept { return *graph_; }
-  [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
+  [[nodiscard]] std::shared_ptr<const Graph> graph_ptr() const noexcept { return graph_; }
+  [[nodiscard]] std::uint64_t version() const noexcept { return dynamic_.version(); }
 
   /// The maintained remote-spanner over graph().
   [[nodiscard]] const EdgeSet& spanner() const noexcept { return spanner_; }
@@ -155,10 +172,9 @@ class IncrementalSpanner {
   /// into trees_ and ref_; returns the number of tree edges added.
   std::size_t build_trees(std::span<const NodeId> roots);
 
-  DynamicGraph* dynamic_;
+  DynamicGraph dynamic_;
   TreeRule rule_;
   std::shared_ptr<const Graph> graph_;
-  std::uint64_t version_ = 0;
   /// Per-root tree edges as slots: a live edge keeps its slot across
   /// snapshots, so clean roots carry zero per-batch cost.
   std::vector<std::vector<EdgeId>> trees_;
@@ -170,9 +186,7 @@ class IncrementalSpanner {
   std::size_t spanner_edges_ = 0;
   TreeUnionDriver driver_;
   std::vector<NodeId> dirty_;
-  /// Per-node dirty mark, all zero between batches.
-  std::vector<std::uint8_t> dirty_flag_;
-  BoundedBfs dirty_bfs_;
+  DirtyRootExpander expander_;
 };
 
 }  // namespace remspan

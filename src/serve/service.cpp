@@ -27,11 +27,11 @@ struct SpannerService::Tenant {
   Tenant(std::string spec_string_in, std::unique_ptr<api::IncrementalSession> session_in)
       : spec_string(std::move(spec_string_in)),
         session(std::move(session_in)),
-        queue(session->dynamic_graph().snapshot()) {
+        queue(session->engine().graph_ptr()) {
     SnapshotInfo info;
     info.epoch = 0;
-    info.graph_version = session->dynamic_graph().version();
-    snap.store(std::make_shared<const SpannerSnapshot>(session->dynamic_graph().snapshot(),
+    info.graph_version = session->engine().version();
+    snap.store(std::make_shared<const SpannerSnapshot>(session->engine().graph_ptr(),
                                                        session->spanner().bits(), info),
                std::memory_order_release);
     stats.graph_version = info.graph_version;
@@ -242,11 +242,11 @@ SpannerService::DrainResult SpannerService::drain_pass(Tenant& t) {
     const auto prev = t.snap.load(std::memory_order_acquire);
     SnapshotInfo info;
     info.epoch = prev->epoch() + 1;
-    info.graph_version = t.session->dynamic_graph().version();
+    info.graph_version = t.session->engine().version();
     info.batches_applied = prev->info().batches_applied + 1;
     info.events_applied = prev->info().events_applied + applied;
     info.last_batch = bs;
-    next = std::make_shared<const SpannerSnapshot>(t.session->dynamic_graph().snapshot(),
+    next = std::make_shared<const SpannerSnapshot>(t.session->engine().graph_ptr(),
                                                    t.session->spanner().bits(), info);
   }
 

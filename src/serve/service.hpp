@@ -1,8 +1,8 @@
 // SpannerService: the long-lived multi-tenant serving layer over src/api.
 //
 // Each tenant is an open incremental-maintenance session addressed by a
-// TenantId: a spec string, a DynamicGraph and the IncrementalSpanner
-// maintaining that spec's remote-spanner over it (api::IncrementalSession),
+// TenantId: a spec string and the IncrementalSpanner maintaining that
+// spec's remote-spanner over the DynamicGraph it owns (api::IncrementalSession),
 // fronted by a CoalescingQueue on the write side and an epoch-tagged
 // immutable SpannerSnapshot on the read side.
 //

@@ -4,7 +4,6 @@
 #include <set>
 #include <utility>
 
-#include "dynamic/incremental_spanner.hpp"
 #include "obs/obs.hpp"
 #include "sim/flooding.hpp"
 
@@ -372,7 +371,8 @@ ReconvergenceSim::ReconvergenceSim(const Graph& initial, const TreeRule& rule,
       rel_(faults.effective_reliability()),
       dynamic_(initial),
       graph_(dynamic_.snapshot()),
-      dirty_bfs_(initial.num_nodes()) {
+      ball_bfs_(initial.num_nodes()),
+      dirty_(initial.num_nodes()) {
   obs::PhaseSpan span("sim.initial_convergence", "sim");
   const ReliabilityConfig& rel = rel_;
   net_ = std::make_unique<Network>(*graph_, [&rule, &rel](NodeId v) {
@@ -417,8 +417,8 @@ bool ReconvergenceSim::ball_state_complete() {
   for (NodeId u = 0; u < graph_->num_nodes(); ++u) {
     const ReconvergeProtocol& pu = proto(*net_, u);
     if (!pu.settled()) return false;
-    dirty_bfs_.run(GraphView(*graph_), u, scope);
-    for (const NodeId o : dirty_bfs_.order()) {
+    ball_bfs_.run(GraphView(*graph_), u, scope);
+    for (const NodeId o : ball_bfs_.order()) {
       if (o == u) continue;
       const ReconvergeProtocol& po = proto(*net_, o);
       const std::vector<NodeId>* list = pu.stored_list(o);
@@ -439,14 +439,8 @@ ReconvergeBatchStats ReconvergenceSim::apply_batch(std::span<const GraphEvent> e
   stats.applied_events = dynamic_.apply_all(events);
 
   const std::shared_ptr<const Graph> old_graph = graph_;
-  const std::shared_ptr<const Graph> new_graph = dynamic_.snapshot();
-  // The sim is the only reader of its DynamicGraph, so the change record
-  // always starts at old_graph.
-  const GraphDelta* change = dynamic_.change_since(graph_version_);
-  REMSPAN_CHECK(change != nullptr);
-  const GraphDelta& delta = *change;
-  graph_version_ = dynamic_.version();
-  graph_ = new_graph;
+  graph_ = dynamic_.snapshot();
+  const GraphDelta& delta = dynamic_.last_change();
   net_->change_topology(*graph_);
   if (delta.empty()) {
     // No live-topology change: nobody re-advertises, nothing flows.
@@ -468,8 +462,9 @@ ReconvergeBatchStats ReconvergenceSim::apply_batch(std::span<const GraphEvent> e
     }
     stats.advertising_nodes = graph_->num_nodes();
   } else {
-    const std::vector<NodeId> dirty = collect_dirty_roots(
-        *old_graph, *new_graph, touched, rule_.dirty_radius(), dirty_bfs_, dirty_flag_);
+    // Every touched endpoint on both sides: the symmetric dirty ball.
+    const std::vector<NodeId> dirty =
+        dirty_.expand(*old_graph, *graph_, touched, touched, rule_.dirty_radius());
     auto next_dirty = dirty.begin();  // sorted
     for (NodeId v = 0; v < graph_->num_nodes(); ++v) {
       const bool advertise = next_dirty != dirty.end() && *next_dirty == v;

@@ -15,7 +15,7 @@
 //   kIncremental   — only the nodes whose local knowledge may have changed
 //                    re-advertise. These are exactly the *dirty roots* of
 //                    the incremental maintenance engine
-//                    (collect_dirty_roots, src/dynamic): the nodes within
+//                    (DirtyRootExpander, src/dynamic): the nodes within
 //                    scope hops of a touched endpoint in the old or new
 //                    snapshot. The flood scope IS the TreeRule's dependency
 //                    radius max(1, r+beta-1) (TreeRule::dirty_radius), so
@@ -135,6 +135,7 @@
 #include <vector>
 
 #include "dynamic/dynamic_graph.hpp"
+#include "dynamic/incremental_spanner.hpp"
 #include "graph/bfs.hpp"
 #include "graph/edge_set.hpp"
 #include "sim/link_model.hpp"
@@ -243,10 +244,9 @@ class ReconvergenceSim {
   ReliabilityConfig rel_;
   DynamicGraph dynamic_;
   std::shared_ptr<const Graph> graph_;
-  std::uint64_t graph_version_ = 0;  ///< dynamic_.version() when graph_ was taken
   std::unique_ptr<Network> net_;
-  BoundedBfs dirty_bfs_;
-  std::vector<std::uint8_t> dirty_flag_;
+  BoundedBfs ball_bfs_;  ///< the completeness oracle's per-node ball walks
+  DirtyRootExpander dirty_;
   ReconvergeBatchStats initial_;
   std::uint32_t epoch_ = 0;
 };

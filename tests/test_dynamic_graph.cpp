@@ -1,8 +1,10 @@
-// DynamicGraph update semantics, snapshot determinism, diff_graphs id
-// mapping, multi-source bounded BFS, and churn-trace generation/round-trip.
+// DynamicGraph update semantics, snapshot determinism, diff_graphs change
+// lists, multi-source bounded BFS, and churn-trace generation/round-trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -115,7 +117,7 @@ TEST(DynamicGraph, SnapshotMatchesReplayedEventsOnRandomSequences) {
   }
 }
 
-TEST(DiffGraphs, MapsSurvivorsAndListsChanges) {
+TEST(DiffGraphs, ListsExactlyTheChangedEdgesWithTheirIds) {
   Rng rng(11);
   for (int rep = 0; rep < 20; ++rep) {
     const Graph old_g = gnp(30, 0.15, rng);
@@ -148,18 +150,16 @@ TEST(DiffGraphs, MapsSurvivorsAndListsChanges) {
     EXPECT_TRUE(std::is_sorted(delta.removed.begin(), delta.removed.end(), edge_less));
     EXPECT_TRUE(std::is_sorted(delta.inserted.begin(), delta.inserted.end(), edge_less));
 
-    // The id map sends every survivor to the same endpoints; removed edges
-    // map to kInvalidEdge and carry their old id in removed_old_ids.
-    ASSERT_EQ(delta.old_to_new.size(), old_g.num_edges());
-    for (EdgeId id = 0; id < old_g.num_edges(); ++id) {
-      const Edge& e = old_g.edge(id);
-      if (new_set.contains(e)) {
-        ASSERT_NE(delta.old_to_new[id], kInvalidEdge);
-        EXPECT_EQ(new_g->edge(delta.old_to_new[id]), e);
-      } else {
-        EXPECT_EQ(delta.old_to_new[id], kInvalidEdge);
-      }
-    }
+    // The lists are exactly the two set differences, in canonical order,
+    // and each id names its edge in its own graph.
+    std::vector<Edge> expected_removed;
+    std::set_difference(old_set.begin(), old_set.end(), new_set.begin(), new_set.end(),
+                        std::back_inserter(expected_removed));
+    std::vector<Edge> expected_inserted;
+    std::set_difference(new_set.begin(), new_set.end(), old_set.begin(), old_set.end(),
+                        std::back_inserter(expected_inserted));
+    EXPECT_EQ(delta.removed, expected_removed);
+    EXPECT_EQ(delta.inserted, expected_inserted);
     ASSERT_EQ(delta.removed_old_ids.size(), delta.removed.size());
     for (std::size_t i = 0; i < delta.removed.size(); ++i) {
       EXPECT_EQ(old_g.edge(delta.removed_old_ids[i]), delta.removed[i]);
@@ -208,7 +208,6 @@ TEST(DynamicGraph, ChangeRecordMatchesDiffAndKeepsSurvivorSlots) {
   Rng rng(5);
   DynamicGraph dg(gnp(200, 0.04, rng));
   auto prev = dg.snapshot();
-  std::uint64_t prev_version = dg.version();
   for (int step = 0; step < 40; ++step) {
     for (int i = 0; i < 6; ++i) {
       const auto a = static_cast<NodeId>(rng.uniform(200));
@@ -221,23 +220,27 @@ TEST(DynamicGraph, ChangeRecordMatchesDiffAndKeepsSurvivorSlots) {
       }
     }
     const auto cur = dg.snapshot();
-    const GraphDelta* change = dg.change_since(prev_version);
-    ASSERT_NE(change, nullptr);
+    const GraphDelta& change = dg.last_change();
     const GraphDelta diff = diff_graphs(*prev, *cur);
-    EXPECT_EQ(change->removed, diff.removed) << "step " << step;
-    EXPECT_EQ(change->removed_old_ids, diff.removed_old_ids) << "step " << step;
-    EXPECT_EQ(change->inserted, diff.inserted) << "step " << step;
-    EXPECT_EQ(change->inserted_new_ids, diff.inserted_new_ids) << "step " << step;
-    for (EdgeId id = 0; id < diff.old_to_new.size(); ++id) {
-      if (diff.old_to_new[id] != kInvalidEdge) EXPECT_EQ(diff.old_to_new[id], id);
+    EXPECT_EQ(change.removed, diff.removed) << "step " << step;
+    EXPECT_EQ(change.removed_old_ids, diff.removed_old_ids) << "step " << step;
+    EXPECT_EQ(change.inserted, diff.inserted) << "step " << step;
+    EXPECT_EQ(change.inserted_new_ids, diff.inserted_new_ids) << "step " << step;
+    // Every edge live in both snapshots keeps its slot.
+    for (const Edge& e : prev->edge_list()) {
+      if (cur->has_edge(e.u, e.v)) {
+        EXPECT_EQ(cur->find_edge(e.u, e.v), prev->find_edge(e.u, e.v)) << "step " << step;
+      }
     }
     // A net no-op batch publishes nothing; the snapshot object stays.
-    EXPECT_EQ(cur == prev, change->empty());
-    EXPECT_TRUE(dg.change_since(dg.version())->empty());
+    EXPECT_EQ(cur == prev, change.empty());
+    // A snapshot() with no update since returns the same object and an
+    // empty change record.
+    EXPECT_EQ(dg.snapshot(), cur);
+    EXPECT_TRUE(dg.last_change().empty());
     EXPECT_EQ(cur->num_edges(), edge_set_of(*cur).size());
     if (step >= 2) EXPECT_FALSE(cur->canonical_ids());
     prev = cur;
-    prev_version = dg.version();
   }
 }
 
@@ -257,9 +260,8 @@ TEST(CopyOnWrite, HeldSnapshotStaysByteIdenticalThroughLaterBatches) {
     dg.apply(GraphEvent::edge_down(edges[i].u, edges[i].v));
   }
   const auto snap1 = dg.snapshot();
-  const std::uint64_t version1 = dg.version();
   const GraphImage image1(*snap1);
-  const std::vector<EdgeId> holes = dg.change_since(0)->removed_old_ids;
+  const std::vector<EdgeId> holes = dg.last_change().removed_old_ids;
   ASSERT_FALSE(holes.empty());
   for (const EdgeId id : holes) EXPECT_EQ(snap1->edge(id), Edge{});
 
@@ -296,7 +298,6 @@ TEST(CopyOnWrite, HeldSnapshotStaysByteIdenticalThroughLaterBatches) {
   EXPECT_EQ(GraphImage(*snap1), image1);
   EXPECT_EQ(GraphImage(*snap0), image0);
   EXPECT_FALSE(reused.empty()) << "no later batch reused a slot the first one freed";
-  EXPECT_EQ(dg.change_since(version1), nullptr);  // older than the one before
 }
 
 TEST(CopyOnWrite, FreedSlotIsReusedOnlyFromTheNextBatch) {
@@ -304,7 +305,6 @@ TEST(CopyOnWrite, FreedSlotIsReusedOnlyFromTheNextBatch) {
   dg.apply_all(std::vector<GraphEvent>{GraphEvent::edge_up(0, 1), GraphEvent::edge_up(1, 2),
                                        GraphEvent::edge_up(2, 3)});
   const auto g1 = dg.snapshot();
-  const std::uint64_t v1 = dg.version();
   const EdgeId freed = g1->find_edge(1, 2);
   ASSERT_NE(freed, kInvalidEdge);
   ASSERT_EQ(g1->edge_id_bound(), 3u);
@@ -312,8 +312,7 @@ TEST(CopyOnWrite, FreedSlotIsReusedOnlyFromTheNextBatch) {
   // The batch that frees a slot cannot hand it out again...
   dg.apply_all(std::vector<GraphEvent>{GraphEvent::edge_down(1, 2), GraphEvent::edge_up(3, 4)});
   const auto g2 = dg.snapshot();
-  const std::uint64_t v2 = dg.version();
-  EXPECT_EQ(dg.change_since(v1)->removed_old_ids, std::vector<EdgeId>{freed});
+  EXPECT_EQ(dg.last_change().removed_old_ids, std::vector<EdgeId>{freed});
   EXPECT_NE(g2->find_edge(3, 4), freed);
   EXPECT_EQ(g2->edge_id_bound(), 4u);
   EXPECT_EQ(g2->edge(freed), Edge{});
@@ -322,7 +321,7 @@ TEST(CopyOnWrite, FreedSlotIsReusedOnlyFromTheNextBatch) {
   dg.apply(GraphEvent::edge_up(4, 5));
   const auto g3 = dg.snapshot();
   EXPECT_EQ(g3->find_edge(4, 5), freed);
-  EXPECT_EQ(dg.change_since(v2)->inserted_new_ids, std::vector<EdgeId>{freed});
+  EXPECT_EQ(dg.last_change().inserted_new_ids, std::vector<EdgeId>{freed});
   EXPECT_EQ(g1->edge(freed), (Edge{1, 2}));
   EXPECT_EQ(g2->edge(freed), Edge{});
 

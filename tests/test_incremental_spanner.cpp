@@ -32,10 +32,11 @@ std::vector<TreeRule> sweep_configs() { return testsupport::incremental_sweep_co
 
 /// One random batch of events: edge toggles over node pairs biased toward
 /// existing edges, with a sprinkle of node up/down churn.
-std::vector<GraphEvent> random_batch(const DynamicGraph& dg, const Graph& current,
-                                     std::size_t size, Rng& rng) {
+std::vector<GraphEvent> random_batch(const IncrementalSpanner& inc, std::size_t size, Rng& rng) {
+  const DynamicGraph& dg = inc.dynamic_graph();
+  const Graph& current = inc.graph();
   std::vector<GraphEvent> batch;
-  const NodeId n = dg.num_nodes();
+  const NodeId n = inc.graph().num_nodes();
   for (std::size_t i = 0; i < size; ++i) {
     const double roll = rng.uniform_real();
     if (roll < 0.1) {
@@ -78,19 +79,18 @@ TEST(IncrementalSpanner, MatchesFromScratchAcrossFamiliesConfigsAndBatches) {
     for (const TreeRule& cfg : sweep_configs()) {
       for (std::uint64_t seed = 1; seed <= 2; ++seed) {
         Rng rng(1000 * seed + family);
-        DynamicGraph dg(make_family(family, seed));
-        IncrementalSpanner inc(dg, cfg);
+        IncrementalSpanner inc(make_family(family, seed), cfg);
         EXPECT_TRUE(testsupport::matches_scratch(inc.spanner(), cfg));
         // Varying batch sizes, including empty and single-event batches.
         const std::size_t batch_sizes[] = {1, 0, 4, 13, 2};
         for (const std::size_t size : batch_sizes) {
-          const auto batch = random_batch(dg, inc.graph(), size, rng);
+          const auto batch = random_batch(inc, size, rng);
           const ChurnBatchStats stats = inc.apply_batch(batch);
           ASSERT_TRUE(testsupport::matches_scratch(inc.spanner(), cfg))
               << "family " << family << " cfg " << cfg.name() << " seed " << seed
               << " batch size " << size;
           EXPECT_EQ(stats.spanner_edges, inc.spanner().size());
-          EXPECT_EQ(stats.version, dg.version());
+          EXPECT_EQ(stats.version, inc.dynamic_graph().version());
           ++total_batches;
         }
       }
@@ -104,16 +104,15 @@ TEST(IncrementalSpanner, DirtySetIsSupersetOfChangedTrees) {
     const TreeRule cfg =
         family == 1 ? TreeRule::two_connecting(2) : TreeRule::k_connecting(2);
     Rng rng(77 + family);
-    DynamicGraph dg(make_family(family, 5));
-    IncrementalSpanner inc(dg, cfg);
+    IncrementalSpanner inc(make_family(family, 5), cfg);
     for (int step = 0; step < 8; ++step) {
-      const auto old_graph = dg.snapshot();
+      const auto old_graph = inc.graph_ptr();
       const auto old_trees = all_trees(*old_graph, cfg);
-      const auto batch = random_batch(dg, inc.graph(), 6, rng);
+      const auto batch = random_batch(inc, 6, rng);
       inc.apply_batch(batch);
       const auto new_trees = all_trees(inc.graph(), cfg);
       const auto& dirty = inc.last_dirty_roots();
-      for (NodeId u = 0; u < dg.num_nodes(); ++u) {
+      for (NodeId u = 0; u < inc.graph().num_nodes(); ++u) {
         if (old_trees[u] != new_trees[u]) {
           EXPECT_TRUE(std::binary_search(dirty.begin(), dirty.end(), u))
               << "root " << u << " changed but was not marked dirty (family " << family
@@ -121,7 +120,7 @@ TEST(IncrementalSpanner, DirtySetIsSupersetOfChangedTrees) {
         }
       }
       // And the engine's stored trees match the from-scratch oracle.
-      for (NodeId u = 0; u < dg.num_nodes(); ++u) {
+      for (NodeId u = 0; u < inc.graph().num_nodes(); ++u) {
         auto stored = inc.tree_edges(u);
         std::sort(stored.begin(), stored.end(), [](const Edge& x, const Edge& y) {
           return x.u != y.u ? x.u < y.u : x.v < y.v;
@@ -135,10 +134,9 @@ TEST(IncrementalSpanner, DirtySetIsSupersetOfChangedTrees) {
 TEST(IncrementalSpanner, RefcountsEqualOwningTreeCounts) {
   const TreeRule cfg = TreeRule::k_connecting(1);
   Rng rng(99);
-  DynamicGraph dg(make_family(0, 9));
-  IncrementalSpanner inc(dg, cfg);
+  IncrementalSpanner inc(make_family(0, 9), cfg);
   for (int step = 0; step < 6; ++step) {
-    const auto batch = random_batch(dg, inc.graph(), 8, rng);
+    const auto batch = random_batch(inc, 8, rng);
     inc.apply_batch(batch);
     const Graph& g = inc.graph();
     const auto trees = all_trees(g, cfg);
@@ -158,8 +156,7 @@ TEST(IncrementalSpanner, RefcountsEqualOwningTreeCounts) {
 }
 
 TEST(IncrementalSpanner, NoOpAndEmptyBatchesLeaveSpannerUntouched) {
-  DynamicGraph dg(make_family(0, 3));
-  IncrementalSpanner inc(dg, TreeRule::k_connecting(1));
+  IncrementalSpanner inc(make_family(0, 3), TreeRule::k_connecting(1));
   const EdgeSet before = inc.spanner();
   ChurnBatchStats stats = inc.apply_batch({});
   EXPECT_EQ(stats.dirty_roots, 0u);
@@ -176,8 +173,7 @@ TEST(IncrementalSpanner, NoOpAndEmptyBatchesLeaveSpannerUntouched) {
 TEST(IncrementalSpanner, MaskedEdgeChurnBehindDownNodeIsInvisible) {
   // Storing/removing edges of a DOWN node never touches the live snapshot;
   // the spanner must not change until the node comes back.
-  DynamicGraph dg(make_family(2, 4));
-  IncrementalSpanner inc(dg, TreeRule::k_connecting(1));
+  IncrementalSpanner inc(make_family(2, 4), TreeRule::k_connecting(1));
   const NodeId v = 0;
   std::vector<GraphEvent> batch = {GraphEvent::node_down(v)};
   inc.apply_batch(batch);
@@ -206,8 +202,7 @@ TEST(IncrementalSpanner, ChurnTraceReplayStaysEquivalent) {
       region_outage_trace(gg, 3, 1.5, 3),
   };
   for (const ChurnTrace& trace : traces) {
-    DynamicGraph dg(trace.initial_graph());
-    IncrementalSpanner inc(dg, TreeRule::k_connecting(1));
+    IncrementalSpanner inc(trace.initial_graph(), TreeRule::k_connecting(1));
     for (const auto& batch : trace.batches) {
       inc.apply_batch(batch);
       ASSERT_TRUE(testsupport::matches_scratch(inc.spanner(), inc.rule()));
@@ -223,9 +218,8 @@ TEST(IncrementalSpanner, RemovalOnlyBatchExpandsOldSnapshotBallOnly) {
   for (const TreeRule& cfg :
        {TreeRule::k_connecting(1), TreeRule::low_stretch(0.5)}) {
     Rng rng(17);
-    DynamicGraph dg(make_family(0, 6));
-    IncrementalSpanner inc(dg, cfg);
-    const auto old_graph = dg.snapshot();
+    IncrementalSpanner inc(make_family(0, 6), cfg);
+    const auto old_graph = inc.graph_ptr();
     std::vector<GraphEvent> batch;
     for (EdgeId id = 0; id < old_graph->num_edges(); id += 7) {
       const Edge e = old_graph->edge(id);
@@ -257,17 +251,15 @@ TEST(IncrementalSpanner, RemovalOnlyBatchExpandsOldSnapshotBallOnly) {
 
 TEST(IncrementalSpanner, InsertionOnlyBatchExpandsNewSnapshotBallOnly) {
   const TreeRule cfg = TreeRule::low_stretch(0.5);
-  DynamicGraph dg(make_family(1, 7));
-  IncrementalSpanner inc(dg, cfg);
-  const NodeId n = dg.num_nodes();
+  IncrementalSpanner inc(make_family(1, 7), cfg);
+  const NodeId n = inc.graph().num_nodes();
   std::vector<GraphEvent> batch;
   for (NodeId v = 0; v + 7 < n; v += 13) {
     if (!inc.graph().has_edge(v, v + 7)) batch.push_back(GraphEvent::edge_up(v, v + 7));
   }
   ASSERT_FALSE(batch.empty());
   inc.apply_batch(batch);
-  const auto new_graph = dg.snapshot();
-  ASSERT_EQ(&inc.graph(), new_graph.get());
+  const auto new_graph = inc.graph_ptr();
   ASSERT_TRUE(testsupport::matches_scratch(inc.spanner(), cfg));
 
   std::vector<NodeId> touched;
@@ -294,9 +286,8 @@ TEST(IncrementalSpanner, CollectDirtyRootsIgnoresStaleScratchFlags) {
   // the right size full of stale marks yields the same dirty set as a fresh
   // one, and both equal the engine's own (private-flag) dirty set.
   const TreeRule cfg = TreeRule::k_connecting(2);
-  DynamicGraph dg(make_family(0, 9));
-  IncrementalSpanner inc(dg, cfg);
-  const auto old_graph = dg.snapshot();
+  IncrementalSpanner inc(make_family(0, 9), cfg);
+  const auto old_graph = inc.graph_ptr();
   std::vector<GraphEvent> batch;
   std::vector<NodeId> removed;
   std::vector<NodeId> inserted;
@@ -305,7 +296,7 @@ TEST(IncrementalSpanner, CollectDirtyRootsIgnoresStaleScratchFlags) {
     batch.push_back(GraphEvent::edge_down(e.u, e.v));
     removed.insert(removed.end(), {e.u, e.v});
   }
-  const NodeId n = dg.num_nodes();
+  const NodeId n = inc.graph().num_nodes();
   for (NodeId v = 0; v + 5 < n; v += 17) {
     if (!old_graph->has_edge(v, v + 5)) {
       batch.push_back(GraphEvent::edge_up(v, v + 5));
@@ -317,7 +308,7 @@ TEST(IncrementalSpanner, CollectDirtyRootsIgnoresStaleScratchFlags) {
     side->erase(std::unique(side->begin(), side->end()), side->end());
   }
   inc.apply_batch(batch);
-  const auto new_graph = dg.snapshot();
+  const auto new_graph = inc.graph_ptr();
   ASSERT_FALSE(inc.last_dirty_roots().empty());
 
   BoundedBfs bfs(n);
@@ -337,11 +328,10 @@ TEST(IncrementalSpanner, AlternatingPureBatchesStayBitExactAndSuperset) {
   // dirty-superset-of-changed-trees.
   const TreeRule cfg = TreeRule::r_beta(3, 1, TreeAlgorithm::kGreedy);
   Rng rng(23);
-  DynamicGraph dg(make_family(2, 11));
-  IncrementalSpanner inc(dg, cfg);
+  IncrementalSpanner inc(make_family(2, 11), cfg);
   std::vector<Edge> parked;  // removed edges waiting to be re-inserted
   for (int step = 0; step < 6; ++step) {
-    const auto old_graph = dg.snapshot();
+    const auto old_graph = inc.graph_ptr();
     const auto old_trees = all_trees(*old_graph, cfg);
     std::vector<GraphEvent> batch;
     if (step % 2 == 0) {
@@ -358,7 +348,7 @@ TEST(IncrementalSpanner, AlternatingPureBatchesStayBitExactAndSuperset) {
     ASSERT_TRUE(testsupport::matches_scratch(inc.spanner(), cfg)) << "step " << step;
     const auto new_trees = all_trees(inc.graph(), cfg);
     const auto& dirty = inc.last_dirty_roots();
-    for (NodeId u = 0; u < dg.num_nodes(); ++u) {
+    for (NodeId u = 0; u < inc.graph().num_nodes(); ++u) {
       if (old_trees[u] != new_trees[u]) {
         EXPECT_TRUE(std::binary_search(dirty.begin(), dirty.end(), u))
             << "root " << u << " changed but was not marked dirty (step " << step << ")";
@@ -396,63 +386,11 @@ TEST(IncrementalSpanner, RefcountZeroRemovalSkipWouldBeUnsound) {
          "builders changed to make the skip sound, IncrementalSpanner can adopt it";
 }
 
-TEST(IncrementalSpanner, SnapshotTakenBetweenBatchesFallsBackToDiff) {
-  // Someone else snapshots the engine's DynamicGraph between two batches:
-  // the engine's change record no longer starts at its snapshot, so it
-  // diffs. An edge that went down and came back in another slot must then
-  // be retired and rebuilt under its new id.
-  for (const TreeRule& cfg : sweep_configs()) {
-    Rng rng(3);
-    DynamicGraph dg(make_family(0, 4));
-    IncrementalSpanner inc(dg, cfg);
-    const std::vector<Edge> edges = inc.graph().edge_list();
-    const Edge e = edges[edges.size() / 3];
-    const Edge f = edges[edges.size() / 2];
-    const EdgeId before = inc.graph().find_edge(e.u, e.v);
-    NodeId far = 1;
-    while (inc.graph().has_edge(0, far)) ++far;
-    dg.apply(GraphEvent::edge_down(e.u, e.v));
-    (void)dg.snapshot();
-    // {0, far} takes the freed slot, so e comes back in a new one.
-    dg.apply_all(std::vector<GraphEvent>{GraphEvent::edge_up(0, far),
-                                         GraphEvent::edge_up(e.u, e.v),
-                                         GraphEvent::edge_down(f.u, f.v)});
-    (void)dg.snapshot();
-    const ChurnBatchStats stats = inc.apply_batch(random_batch(dg, inc.graph(), 3, rng));
-    EXPECT_NE(inc.graph().find_edge(e.u, e.v), before) << cfg.name();
-    EXPECT_GT(stats.dirty_roots, 0u) << cfg.name();
-    ASSERT_TRUE(testsupport::matches_scratch(inc.spanner(), cfg)) << cfg.name();
-    // And the engine is back on its own change records.
-    inc.apply_batch(random_batch(dg, inc.graph(), 4, rng));
-    ASSERT_TRUE(testsupport::matches_scratch(inc.spanner(), cfg)) << cfg.name();
-    // Edges that came and went between two batches leave no change but a
-    // larger id bound (more of them than there are free slots).
-    std::vector<GraphEvent> up;
-    std::vector<GraphEvent> down;
-    for (NodeId v = 1; up.size() < 8 && v < dg.num_nodes(); ++v) {
-      if (!inc.graph().has_edge(0, v)) {
-        up.push_back(GraphEvent::edge_up(0, v));
-        down.push_back(GraphEvent::edge_down(0, v));
-      }
-    }
-    const std::size_t bound = inc.graph().edge_id_bound();
-    dg.apply_all(up);
-    (void)dg.snapshot();
-    dg.apply_all(down);
-    (void)dg.snapshot();
-    const ChurnBatchStats noop = inc.apply_batch({});
-    EXPECT_EQ(noop.dirty_roots, 0u) << cfg.name();
-    EXPECT_GT(inc.graph().edge_id_bound(), bound) << cfg.name();
-    ASSERT_TRUE(testsupport::matches_scratch(inc.spanner(), cfg)) << cfg.name();
-  }
-}
-
 TEST(IncrementalSpanner, LargeSingleBatchEqualsRebuild) {
   // A batch that churns a large fraction of the graph still lands bit-exact
-  // (most roots go dirty; exercises the remap path under heavy turnover).
+  // (most roots go dirty).
   Rng rng(31);
-  DynamicGraph dg(make_family(1, 8));
-  IncrementalSpanner inc(dg, TreeRule::k_connecting(1));
+  IncrementalSpanner inc(make_family(1, 8), TreeRule::k_connecting(1));
   std::vector<GraphEvent> batch;
   const Graph& g = inc.graph();
   for (EdgeId id = 0; id < g.num_edges(); id += 2) {

@@ -138,8 +138,7 @@ TEST(ObsEquivalence, IncrementalBatchesBitIdenticalWithSinksOn) {
   std::vector<bool> changed;
   auto run = [&](bool observed) {
     const Graph initial = test_graph(23);
-    DynamicGraph dg(initial);
-    IncrementalSpanner inc(dg, TreeRule::k_connecting(1));
+    IncrementalSpanner inc(initial, TreeRule::k_connecting(1));
     obs::Registry reg;
     obs::TraceBuffer buf;
     std::optional<obs::ScopedSinks> sinks;

@@ -4,11 +4,15 @@
 // global spanner — which in turn must equal the centralized construction.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/remote_spanner.hpp"
 #include "dynamic/churn_trace.hpp"
 #include "geom/ball_graph.hpp"
 #include "geom/synthetic.hpp"
+#include "graph/bfs.hpp"
 #include "graph/connectivity.hpp"
+#include "graph/views.hpp"
 #include "sim/reconvergence.hpp"
 #include "sim/remspan_protocol.hpp"
 #include "support/corpus.hpp"
@@ -172,6 +176,61 @@ TEST(Reconvergence, LocalizedChurnAdvertisesLocally) {
   EXPECT_LT(stats.advertising_nodes, g.num_nodes() / 4);
   EXPECT_LT(stats.transmissions, inc.initial_stats().transmissions / 4);
   EXPECT_EQ(inc.spanner().edge_list(), scratch_spanner(inc.graph(), cfg).edge_list());
+}
+
+TEST(Reconvergence, IncrementalAdvertisersAreTheSymmetricDirtyBall) {
+  // The incremental strategy re-advertises exactly the nodes within
+  // dirty_radius() of a changed edge's endpoint in the old or the new
+  // snapshot, recomputed here with one plain bounded BFS in each.
+  Rng rng(19);
+  const auto gg = largest_component(uniform_unit_ball_graph(80, 4.0, 2, rng));
+  const ChurnTrace traces[] = {
+      random_edge_churn_trace(gg.graph, 8, 6, 0.3, 82),
+      region_outage_trace(gg, 2, 1.2, 83),
+  };
+  const TreeRule radius1 = TreeRule::k_connecting(1);
+  const TreeRule radius2 = TreeRule::two_connecting(2);
+  ASSERT_EQ(radius1.dirty_radius(), 1u);
+  ASSERT_EQ(radius2.dirty_radius(), 2u);
+  std::size_t node_events = 0;
+  for (const TreeRule& cfg : {radius1, radius2}) {
+    for (const ChurnTrace& trace : traces) {
+      ReconvergenceSim sim(trace.initial_graph(), cfg, ReconvergeStrategy::kIncremental);
+      for (const auto& batch : trace.batches) {
+        for (const GraphEvent& e : batch) {
+          node_events += e.kind == GraphEventKind::kNodeUp || e.kind == GraphEventKind::kNodeDown;
+        }
+        const Graph old_graph = sim.graph();
+        const auto stats = sim.apply_batch(batch);
+        const Graph& new_graph = sim.graph();
+
+        const std::vector<Edge> old_edges = old_graph.edge_list();
+        const std::vector<Edge> new_edges = new_graph.edge_list();
+        const std::set<Edge> old_set(old_edges.begin(), old_edges.end());
+        const std::set<Edge> new_set(new_edges.begin(), new_edges.end());
+        std::set<NodeId> touched_set;
+        for (const Edge& e : old_set) {
+          if (!new_set.contains(e)) touched_set.insert({e.u, e.v});
+        }
+        for (const Edge& e : new_set) {
+          if (!old_set.contains(e)) touched_set.insert({e.u, e.v});
+        }
+        const std::vector<NodeId> touched(touched_set.begin(), touched_set.end());
+        std::set<NodeId> ball;
+        if (!touched.empty()) {
+          BoundedBfs bfs(old_graph.num_nodes());
+          for (const Graph* g : {&old_graph, &new_graph}) {
+            for (const NodeId v : bfs.run_multi(GraphView(*g), touched, cfg.dirty_radius())) {
+              ball.insert(v);
+            }
+          }
+        }
+        EXPECT_EQ(stats.touched_nodes, touched.size()) << cfg.name();
+        EXPECT_EQ(stats.advertising_nodes, ball.size()) << cfg.name();
+      }
+    }
+  }
+  EXPECT_GT(node_events, 0u);
 }
 
 TEST(Reconvergence, MprDistributedMatchesCentralizedUnion) {
