@@ -132,34 +132,32 @@ BENCHMARK(BM_SpannerBuildTh1)->Unit(benchmark::kMillisecond);
 
 void BM_SpannerUnion(benchmark::State& state) {
   // Isolates the union step of the spanner builds: all per-root tree edge
-  // lists are precomputed once, the loop measures only merging them into
-  // one shared atomic bitset from every pool worker (word-batched relaxed
-  // fetch_or) plus the final snapshot into a DynamicBitset.
+  // lists are precomputed once, the loop measures only ORing them into one
+  // plain bitset per pool worker plus the reduction of those partials into
+  // one DynamicBitset after the join (core/remote_spanner.cpp).
   const Graph& g = shared_udg();
   static const std::vector<std::vector<EdgeId>> tree_edges = [] {
     const Graph& gg = shared_udg();
     DomTreeBuilder builder(gg);
     std::vector<std::vector<EdgeId>> all(gg.num_nodes());
     for (NodeId u = 0; u < gg.num_nodes(); ++u) {
-      const RootedTree tree = builder.greedy(u, 3, 1);
-      for (const NodeId v : tree.nodes()) {
-        if (v != tree.root()) all[u].push_back(tree.parent_edge(v));
-      }
+      const std::span<const EdgeId> ids = builder.greedy(u, 3, 1).parent_edges();
+      all[u].assign(ids.begin(), ids.end());
     }
     return all;
   }();
 
   auto& pool = ThreadPool::global();
-  std::vector<std::vector<EdgeId>> batches(pool.concurrency());
+  std::vector<DynamicBitset> partial(pool.concurrency());
   for (auto _ : state) {
-    AtomicBitset shared(g.num_edges());
+    for (DynamicBitset& bits : partial) bits = DynamicBitset(g.edge_id_bound());
     pool.parallel_for_workers(
         0, tree_edges.size(), [&](std::size_t root, std::size_t worker) {
-          auto& ids = batches[worker];
-          ids.assign(tree_edges[root].begin(), tree_edges[root].end());
-          shared.or_batch(ids);
+          for (const EdgeId id : tree_edges[root]) partial[worker].set(id);
         });
-    benchmark::DoNotOptimize(shared.snapshot().count());
+    DynamicBitset merged = std::move(partial.front());
+    for (std::size_t w = 1; w < partial.size(); ++w) merged |= partial[w];
+    benchmark::DoNotOptimize(merged.count());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(tree_edges.size()));

@@ -11,7 +11,10 @@
 #include "util/fit.hpp"
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #if __has_include(<sys/resource.h>)
 #include <sys/resource.h>
@@ -89,10 +92,9 @@ int bench_main(int argc, char** argv) {
   Options opts(argc, argv);
   const double side = opts.get_double("side", 8.0);
   const auto seeds = static_cast<std::uint64_t>(opts.get_int("seeds", 3));
-  // The shared-atomic-bitset union keeps the partial-union footprint at
-  // m/8 bytes total regardless of worker count (the per-worker EdgeSet
-  // scheme cost workers * m/8 and was the first thing to blow memory when
-  // scaling n); the larger default top size is affordable because of it.
+  // Per-worker footprint of a build: the BFS slot array (4 bytes per node)
+  // plus one partial-union bitset (m/8 bytes), the rest of the builder's
+  // scratch being ball-sized.
   const auto n_max = static_cast<std::uint64_t>(opts.get_int("n-max", 6400));
   // Scale build (off by default: it targets n >= 10^7 and runs only in
   // the dedicated CI scale job / local opt-in).
@@ -150,13 +152,16 @@ int bench_main(int argc, char** argv) {
   // they stay out of the JSON values (bench_diff treats values as
   // deterministic at fixed seed).
   const double workers = static_cast<double>(ThreadPool::global().concurrency());
-  std::cout << "\npartial-union memory at n-max: "
+  const double slot_bytes_at_max = 4.0 * ns.back();
+  std::cout << "\nper-worker build footprint at n-max: "
             << format_double(union_bytes_at_max / 1024.0, 1)
-            << " KiB shared (one atomic bitset, O(m) total); per-worker EdgeSet "
-               "accumulators would need "
-            << format_double(workers * union_bytes_at_max / 1024.0, 1) << " KiB ("
-            << format_double(workers, 0) << " workers x m/8 bytes); peak RSS "
-            << format_double(peak_rss_bytes() / (1024.0 * 1024.0), 1) << " MiB\n";
+            << " KiB partial-union bitset (m/8 bytes) + "
+            << format_double(slot_bytes_at_max / 1024.0, 1)
+            << " KiB BFS slot array (4 bytes per node); x " << format_double(workers, 0)
+            << " workers = "
+            << format_double(workers * (union_bytes_at_max + slot_bytes_at_max) / 1024.0, 1)
+            << " KiB; peak RSS " << format_double(peak_rss_bytes() / (1024.0 * 1024.0), 1)
+            << " MiB\n";
 
   const auto fit_full = fit_power_law(ns, full_edges);
   const auto fit_h1 = fit_power_law(ns, h1_edges);
@@ -180,6 +185,44 @@ int bench_main(int argc, char** argv) {
   report.value("h1_edges_at_n_max", h1_edges.back());
   report.value("h2_edges_at_n_max", h2_edges.back());
   report.value("k2_over_k1_ratio", h2_edges.back() / h1_edges.back());
+
+  // Exact static work counters: the four constructions of the static
+  // perfbench workload on one fixed graph (mean n = kWorkNodes, the first
+  // seed of that size), counted through a metrics sink. Each value is a
+  // deterministic count at fixed seed, independent of the worker count and
+  // of root order, so a change to a builder's inner loops that alters how
+  // much it explores shows up here exactly.
+  constexpr std::uint64_t kWorkNodes = 800;
+  const Graph work_graph = paper_udg(side, static_cast<double>(kWorkNodes), 100 * kWorkNodes);
+  struct WorkCase {
+    const char* spec;
+    const char* label;
+  };
+  constexpr WorkCase kWorkCases[] = {
+      {"th1?eps=0.5", "th1"}, {"th2?k=1", "th2k1"}, {"th2?k=2", "th2k2"}, {"th3?k=2", "th3"}};
+  constexpr const char* kWorkCounters[] = {"bfs.nodes_expanded", "domtree.heap_pops",
+                                           "domtree.cover_touches"};
+  Table work({"construction", "bfs.nodes_expanded", "domtree.heap_pops",
+              "domtree.cover_touches"});
+  for (const WorkCase& wc : kWorkCases) {
+    obs::Registry registry;
+    {
+      const obs::ScopedSinks sinks(&registry, nullptr);
+      (void)api::build_spanner(work_graph, wc.spec);
+    }
+    std::vector<std::string> row{wc.spec};
+    for (const char* counter : kWorkCounters) {
+      const std::uint64_t value = registry.counter(counter).value();
+      std::string key = std::string(wc.label) + "_" + counter;
+      std::replace(key.begin(), key.end(), '.', '_');
+      report.value(key, value);
+      row.push_back(std::to_string(value));
+    }
+    work.add_row(row);
+  }
+  std::cout << "\nexact work counters at mean n = " << kWorkNodes << " (n = "
+            << work_graph.num_nodes() << ", m = " << work_graph.num_edges() << "):\n";
+  work.print(std::cout);
   report.finish();
 
   if (scale_n > 0) return run_scale(scale_n, scale_seed);

@@ -9,27 +9,41 @@
 namespace remspan {
 
 DomTreeBuilder::DomTreeBuilder(const Graph& g)
-    : g_(&g),
-      bfs_(g.num_nodes()),
-      in_s_(g.num_nodes(), 0),
-      in_x_(g.num_nodes(), 0),
-      cov_(g.num_nodes(), 0),
-      rem_(g.num_nodes(), 0),
-      branches_(g.num_nodes()),
-      nbr_u_(g.num_nodes(), 0) {}
+    : g_(&g), bfs_(g.num_nodes()), tree_(kInvalidNode) {}
 
 void DomTreeBuilder::rebind(const Graph& g) {
-  REMSPAN_CHECK(g.num_nodes() == static_cast<NodeId>(in_s_.size()));
+  REMSPAN_CHECK(g.num_nodes() == bfs_.num_nodes());
   g_ = &g;
 }
 
-void DomTreeBuilder::add_parent_chain(RootedTree& tree, NodeId x) {
+void DomTreeBuilder::begin(NodeId u, Dist depth) {
+  bfs_.run(GraphView(*g_), u, depth);
+  marks_.assign(bfs_.order().size() + 1, Mark{});
+  heap_.clear();
+  tree_.reset(u);
+  mark(u).member = 1;
+}
+
+std::uint32_t DomTreeBuilder::attach(NodeId p, NodeId v, EdgeId edge) {
+  const std::uint32_t pm = mark(p).member;
+  REMSPAN_CHECK(pm != 0);
+  Mark& mv = mark(v);
+  if (mv.member != 0) {
+    REMSPAN_CHECK(tree_.links_[mv.member - 1].parent == p);
+    return mv.member - 1;
+  }
+  const auto i = static_cast<std::uint32_t>(tree_.append(pm - 1, v, edge));
+  mv.member = i + 1;
+  return i;
+}
+
+void DomTreeBuilder::add_parent_chain(NodeId x) {
   // Collect the BFS ancestors of x that are not yet in the tree, then attach
   // them top-down. Because every chain comes from the same root BFS, the
   // union stays a tree and d_T(root, x) = d_G(root, x).
   NodeId chain[64];
   std::size_t len = 0;
-  while (!tree.contains(x)) {
+  while (mark(x).member == 0) {
     REMSPAN_CHECK(len < 64);
     chain[len++] = x;
     x = bfs_.parent(x);
@@ -37,12 +51,12 @@ void DomTreeBuilder::add_parent_chain(RootedTree& tree, NodeId x) {
   }
   while (len > 0) {
     const NodeId child = chain[--len];
-    tree.add_child(x, child, bfs_.parent_edge(child));
+    attach(x, child, bfs_.parent_edge(child));
     x = child;
   }
 }
 
-void DomTreeBuilder::publish_stats(const RootedTree& tree) {
+void DomTreeBuilder::publish_stats() {
   // Always drained, so a sink installed mid-process starts from zero
   // instead of inheriting tallies of builds it never saw.
   const std::uint64_t pops = std::exchange(stat_heap_pops_, 0);
@@ -53,33 +67,19 @@ void DomTreeBuilder::publish_stats(const RootedTree& tree) {
     m->counter("domtree.heap_pops").add(pops);
     m->counter("domtree.heap_rekeys").add(rekeys);
     m->counter("domtree.cover_touches").add(touches);
-    m->histogram("domtree.tree_edges").record(tree.num_edges());
+    m->histogram("domtree.tree_edges").record(tree_.num_edges());
   }
 }
 
-void DomTreeBuilder::reset_flags() {
-  for (const NodeId v : bfs_.order()) {
-    in_s_[v] = 0;
-    in_x_[v] = 0;
-    cov_[v] = 0;
-    rem_[v] = 0;
-    branches_[v].clear();
-    nbr_u_[v] = 0;
-  }
-  heap_.clear();
-}
-
-RootedTree DomTreeBuilder::greedy(NodeId u, Dist r, Dist beta) {
+const RootedTree& DomTreeBuilder::greedy(NodeId u, Dist r, Dist beta) {
   REMSPAN_CHECK(r >= 2);
-  RootedTree tree(u);
-  const Dist depth_needed = std::max(r, r - 1 + beta);
-  bfs_.run(GraphView(*g_), u, depth_needed);
+  begin(u, std::max(r, r - 1 + beta));
 
   // cover(x) = |({x} ∪ N(x)) ∩ S|: recomputed only for candidates that
   // surface at the top of the lazy heap (see pop_best_candidate).
   auto live_cover = [&](NodeId x) {
-    std::uint32_t cover = in_s_[x];
-    for (const NodeId y : g_->neighbors(x)) cover += in_s_[y];
+    std::uint32_t cover = mark(x).in_s;
+    for (const NodeId y : g_->neighbors(x)) cover += mark(y).in_s;
     return cover;
   };
 
@@ -89,7 +89,7 @@ RootedTree DomTreeBuilder::greedy(NodeId u, Dist r, Dist beta) {
     const auto s_nodes = bfs_.shell(shell);
     std::size_t s_count = s_nodes.size();
     if (s_count == 0) continue;
-    for (const NodeId v : s_nodes) in_s_[v] = 1;
+    for (const NodeId v : s_nodes) mark(v).in_s = 1;
 
     // Clamp the candidate range to shells that exist: shells past the ball's
     // eccentricity are empty, and a huge beta must not spin over them.
@@ -99,7 +99,7 @@ RootedTree DomTreeBuilder::greedy(NodeId u, Dist r, Dist beta) {
     heap_.clear();
     for (Dist d = shell - 1; d <= x_hi; ++d) {
       for (const NodeId x : bfs_.shell(d)) {
-        in_x_[x] = 1;
+        mark(x).in_x = 1;
         const std::uint32_t cover = live_cover(x);
         if (cover > 0) heap_.push_back({heap_key(cover, x), s_epoch_});
       }
@@ -113,33 +113,33 @@ RootedTree DomTreeBuilder::greedy(NodeId u, Dist r, Dist beta) {
       // Uncovered shell nodes always retain an unpicked BFS predecessor in
       // X, so the greedy can never stall (Proposition 2's argument).
       REMSPAN_CHECK(best != kInvalidNode);
-      in_x_[best] = 2;
-      add_parent_chain(tree, best);
-      if (in_s_[best] != 0) {
-        in_s_[best] = 0;
+      Mark& mb = mark(best);
+      mb.in_x = 2;
+      add_parent_chain(best);
+      if (mb.in_s != 0) {
+        mb.in_s = 0;
         --s_count;
       }
       for (const NodeId y : g_->neighbors(best)) {
-        if (in_s_[y] != 0) {
-          in_s_[y] = 0;
+        Mark& my = mark(y);
+        if (my.in_s != 0) {
+          my.in_s = 0;
           --s_count;
         }
       }
       ++s_epoch_;  // a positive-cover pick always shrank S
     }
     for (Dist d = shell - 1; d <= x_hi; ++d) {
-      for (const NodeId x : bfs_.shell(d)) in_x_[x] = 0;
+      for (const NodeId x : bfs_.shell(d)) mark(x).in_x = 0;
     }
   }
-  reset_flags();
-  publish_stats(tree);
-  return tree;
+  publish_stats();
+  return tree_;
 }
 
-RootedTree DomTreeBuilder::mis(NodeId u, Dist r) {
+const RootedTree& DomTreeBuilder::mis(NodeId u, Dist r) {
   REMSPAN_CHECK(r >= 2);
-  RootedTree tree(u);
-  bfs_.run(GraphView(*g_), u, r);
+  begin(u, r);
 
   // B := B(u, r) \ B(u, 1), processed by (distance, id): shells are
   // contiguous slices of the BFS order, so sorting each shell by id — far
@@ -147,48 +147,46 @@ RootedTree DomTreeBuilder::mis(NodeId u, Dist r) {
   // "pick x at minimal distance" order of Algorithm 2.
   const Dist num_shells = bfs_.num_shells();
   for (Dist d = 2; d < num_shells; ++d) {
-    for (const NodeId v : bfs_.shell(d)) in_s_[v] = 1;
+    for (const NodeId v : bfs_.shell(d)) mark(v).in_s = 1;
   }
   for (Dist d = 2; d < num_shells; ++d) {
     const auto sh = bfs_.shell(d);
     shell_sorted_.assign(sh.begin(), sh.end());
     std::sort(shell_sorted_.begin(), shell_sorted_.end());
     for (const NodeId x : shell_sorted_) {
-      if (in_s_[x] == 0) continue;
+      if (mark(x).in_s == 0) continue;
       // x is the remaining node of B at minimal distance: add it to the MIS.
-      add_parent_chain(tree, x);
-      in_s_[x] = 0;
-      for (const NodeId y : g_->neighbors(x)) in_s_[y] = 0;
+      add_parent_chain(x);
+      mark(x).in_s = 0;
+      for (const NodeId y : g_->neighbors(x)) mark(y).in_s = 0;
     }
   }
-  reset_flags();
-  publish_stats(tree);
-  return tree;
+  publish_stats();
+  return tree_;
 }
 
-RootedTree DomTreeBuilder::greedy_k(NodeId u, Dist k) {
+const RootedTree& DomTreeBuilder::greedy_k(NodeId u, Dist k) {
   REMSPAN_CHECK(k >= 1);
-  RootedTree tree(u);
-  bfs_.run(GraphView(*g_), u, 2);
+  begin(u, 2);
 
-  // S := distance-2 shell. cov_[v] counts |N(v) ∩ M|, rem_[v] counts the
-  // common neighbors of v and u not yet picked into M.
+  // S := distance-2 shell. cov counts |N(v) ∩ M|, rem counts the common
+  // neighbors of v and u not yet picked into M.
   const auto s_nodes = bfs_.shell(2);
   std::size_t s_count = s_nodes.size();
-  for (const NodeId v : s_nodes) in_s_[v] = 1;
+  for (const NodeId v : s_nodes) mark(v).in_s = 1;
   for (const NodeId x : g_->neighbors(u)) {
     for (const NodeId y : g_->neighbors(x)) {
-      if (in_s_[y] != 0) ++rem_[y];
+      Mark& my = mark(y);
+      if (my.in_s != 0) ++my.rem;
     }
   }
   // cover(x) = |N(x) ∩ S| per relay candidate x ∈ N(u); lazy-heap picks as
   // in greedy(), revalidated against this on pop.
   auto live_cover = [&](NodeId x) {
     std::uint32_t cover = 0;
-    for (const NodeId y : g_->neighbors(x)) cover += in_s_[y];
+    for (const NodeId y : g_->neighbors(x)) cover += mark(y).in_s;
     return cover;
   };
-  heap_.clear();
   for (const NodeId x : g_->neighbors(u)) {
     const std::uint32_t cover = live_cover(x);
     if (cover > 0) heap_.push_back({heap_key(cover, x), s_epoch_});
@@ -198,126 +196,135 @@ RootedTree DomTreeBuilder::greedy_k(NodeId u, Dist k) {
   while (s_count > 0) {
     const NodeId best = pop_best_candidate(/*unpicked=*/0, live_cover);
     REMSPAN_CHECK(best != kInvalidNode);
-    in_x_[best] = 1;
-    tree.add_child(u, best, bfs_.parent_edge(best));
+    mark(best).in_x = 1;
+    attach(u, best, bfs_.parent_edge(best));
     bool removed = false;
     for (const NodeId y : g_->neighbors(best)) {
-      if (in_s_[y] == 0) continue;
-      ++cov_[y];
-      --rem_[y];
+      Mark& my = mark(y);
+      if (my.in_s == 0) continue;
+      ++my.cov;
+      --my.rem;
       // Covered k times, or every common neighbor is now in M: done with y.
-      if (cov_[y] >= k || rem_[y] == 0) {
-        in_s_[y] = 0;
+      if (my.cov >= k || my.rem == 0) {
+        my.in_s = 0;
         --s_count;
         removed = true;
       }
     }
     if (removed) ++s_epoch_;
   }
-  reset_flags();
-  publish_stats(tree);
-  return tree;
+  publish_stats();
+  return tree_;
 }
 
-RootedTree DomTreeBuilder::mis_k(NodeId u, Dist k) {
+const RootedTree& DomTreeBuilder::mis_k(NodeId u, Dist k) {
   REMSPAN_CHECK(k >= 1);
-  RootedTree tree(u);
-  bfs_.run(GraphView(*g_), u, 2);
+  begin(u, 2);
 
   // S := distance-2 shell (kept in id order for deterministic picks);
-  // rem_[v] = |(N(v) ∩ N(u)) \ V(T)|; branches_[v] = distinct tree branches
-  // holding a neighbor of v within depth 2.
+  // rem = |(N(v) ∩ N(u)) \ V(T)|; v's branch_table_ row = the distinct tree
+  // branches holding a neighbor of v within depth 2.
   const auto s_nodes = bfs_.shell(2);
   std::size_t s_count = s_nodes.size();
-  for (const NodeId v : s_nodes) in_s_[v] = 1;
+  for (const NodeId v : s_nodes) mark(v).in_s = 1;
   shell_sorted_.assign(s_nodes.begin(), s_nodes.end());
   std::sort(shell_sorted_.begin(), shell_sorted_.end());
   const auto& shell = shell_sorted_;
   for (const NodeId x : g_->neighbors(u)) {
-    nbr_u_[x] = 1;
+    mark(x).nbr_u = 1;
     for (const NodeId y : g_->neighbors(x)) {
-      if (in_s_[y] != 0) ++rem_[y];
+      Mark& my = mark(y);
+      if (my.in_s != 0) ++my.rem;
     }
   }
+  // S is one contiguous run of slots, so slot - s_base is v's row.
+  const std::size_t row_len = std::min<std::size_t>(k, g_->degree(u));
+  const std::uint32_t s_base = s_nodes.empty() ? 0 : bfs_.slot(s_nodes.front());
+  branch_table_.resize(s_nodes.size() * row_len);
 
   // Attaches `node` under `parent` and updates the shell bookkeeping: a
   // node entering V(T) extends the branch sets of its shell neighbors and,
   // when it is a neighbor of u, consumes one "available common neighbor"
   // from each adjacent shell node.
-  auto attach = [&](NodeId parent, NodeId node) {
+  auto attach_updating = [&](NodeId parent, NodeId node) {
     // The BFS discovered node through some distance-1 predecessor; when it is
     // not the requested parent (mis_k attaches x under its fresh common
-    // neighbor ys[0]), fall back to one adjacency lookup.
+    // neighbor ys_[0]), fall back to one adjacency lookup.
     const EdgeId pe = bfs_.parent(node) == parent ? bfs_.parent_edge(node)
                                                   : g_->find_edge(parent, node);
-    tree.add_child(parent, node, pe);
-    const NodeId branch = tree.branch(node);
-    const bool depth_one = tree.depth(node) == 1;
+    const RootedTree::Link& link = tree_.links_[attach(parent, node, pe)];
+    const NodeId branch = link.branch;
+    const bool depth_one = link.depth == 1;
     for (const NodeId w : g_->neighbors(node)) {
-      if (in_s_[w] == 0) continue;
-      if (depth_one) --rem_[w];
-      auto& br = branches_[w];
-      if (std::find(br.begin(), br.end(), branch) == br.end()) br.push_back(branch);
-      if (rem_[w] == 0 || br.size() >= k) {
-        in_s_[w] = 0;
+      Mark& mw = mark(w);
+      if (mw.in_s == 0) continue;
+      if (depth_one) --mw.rem;
+      NodeId* row = branch_table_.data() + (bfs_.slot(w) - s_base) * row_len;
+      NodeId* row_end = row + mw.branches;
+      if (std::find(row, row_end, branch) == row_end) row[mw.branches++] = branch;
+      if (mw.rem == 0 || mw.branches >= k) {
+        mw.in_s = 0;
         --s_count;
       }
     }
   };
 
-  std::vector<NodeId> ys;
   for (Dist round = 1; round <= k && s_count > 0; ++round) {
     // X := S at round start.
-    for (const NodeId v : shell) in_x_[v] = in_s_[v];
+    for (const NodeId v : shell) {
+      Mark& mv = mark(v);
+      mv.in_x = mv.in_s;
+    }
     for (const NodeId x : shell) {
       if (s_count == 0) break;
-      if (in_x_[x] == 0 || in_s_[x] == 0) continue;
+      const Mark& mx = mark(x);
+      if (mx.in_x == 0 || mx.in_s == 0) continue;
       // Pick x into this round's MIS. Its available common neighbors with u
-      // are fresh depth-1 attachment points. N(u) membership is a flag load
-      // (nbr_u_ was marked once at tree start), not an O(log deg) adjacency
-      // search per neighbor of every pick.
-      ys.clear();
+      // are fresh depth-1 attachment points. N(u) membership and tree
+      // membership are mark loads (nbr_u was set once at tree start), not
+      // adjacency searches per neighbor of every pick.
+      ys_.clear();
       for (const NodeId y : g_->neighbors(x)) {
-        if (nbr_u_[y] != 0 && !tree.contains(y)) ys.push_back(y);
+        const Mark& my = mark(y);
+        if (my.nbr_u != 0 && my.member == 0) ys_.push_back(y);
       }
-      // x in S implies rem_[x] > 0, so at least one attachment point exists.
-      REMSPAN_CHECK(!ys.empty());
-      const std::size_t count = std::min<std::size_t>(k, ys.size());
-      attach(u, ys[0]);
-      // x may have been removed from S by attaching ys[0]; it still enters
+      // x in S implies rem > 0, so at least one attachment point exists.
+      REMSPAN_CHECK(!ys_.empty());
+      const std::size_t count = std::min<std::size_t>(k, ys_.size());
+      attach_updating(u, ys_[0]);
+      // x may have been removed from S by attaching ys_[0]; it still enters
       // the tree (its own branch can dominate other shell nodes).
-      attach(ys[0], x);
-      for (std::size_t i = 1; i < count; ++i) attach(u, ys[i]);
+      attach_updating(ys_[0], x);
+      for (std::size_t i = 1; i < count; ++i) attach_updating(u, ys_[i]);
       // X := X \ B(x, 1).
-      in_x_[x] = 0;
-      for (const NodeId y : g_->neighbors(x)) in_x_[y] = 0;
+      mark(x).in_x = 0;
+      for (const NodeId y : g_->neighbors(x)) mark(y).in_x = 0;
     }
   }
   // Proposition 7: k rounds of MIS domination always empty the shell.
   REMSPAN_CHECK(s_count == 0);
-  reset_flags();
-  publish_stats(tree);
-  return tree;
+  publish_stats();
+  return tree_;
 }
 
-RootedTree DomTreeBuilder::mpr(NodeId u) {
-  RootedTree tree(u);
-  bfs_.run(GraphView(*g_), u, 2);
+const RootedTree& DomTreeBuilder::mpr(NodeId u) {
+  begin(u, 2);
 
-  // N2 := strict two-hop neighborhood; in_s_ marks its still-uncovered
-  // nodes, in_x_ the picked relays, shell_sorted_ collects the picks.
+  // N2 := strict two-hop neighborhood; in_s marks its still-uncovered
+  // nodes, in_x the picked relays, shell_sorted_ collects the picks.
   const auto two_hop = bfs_.shell(2);
   std::size_t uncovered = two_hop.size();
-  for (const NodeId v : two_hop) in_s_[v] = 1;
+  for (const NodeId v : two_hop) mark(v).in_s = 1;
   auto& picks = shell_sorted_;
   picks.clear();
 
   auto add_mpr = [&](NodeId x) {
-    in_x_[x] = 1;
+    mark(x).in_x = 1;
     picks.push_back(x);
     for (const NodeId w : g_->neighbors(x)) {
-      if (in_s_[w] != 0) {
-        in_s_[w] = 0;
+      Mark& mw = mark(w);
+      if (mw.in_s != 0) {
+        mw.in_s = 0;
         --uncovered;
       }
     }
@@ -333,7 +340,7 @@ RootedTree DomTreeBuilder::mpr(NodeId u) {
         if (++count > 1) break;
       }
     }
-    if (count == 1 && in_x_[sole] == 0) add_mpr(sole);
+    if (count == 1 && mark(sole).in_x == 0) add_mpr(sole);
   }
 
   // Step 2 (RFC): greedy by reachability (uncovered 2-hop nodes reached),
@@ -342,9 +349,9 @@ RootedTree DomTreeBuilder::mpr(NodeId u) {
     NodeId best = kInvalidNode;
     std::size_t best_reach = 0;
     for (const NodeId x : g_->neighbors(u)) {
-      if (in_x_[x] != 0) continue;
+      if (mark(x).in_x != 0) continue;
       std::size_t reach = 0;
-      for (const NodeId w : g_->neighbors(x)) reach += in_s_[w];
+      for (const NodeId w : g_->neighbors(x)) reach += mark(w).in_s;
       if (reach == 0) continue;
       const bool better =
           reach > best_reach ||
@@ -360,22 +367,35 @@ RootedTree DomTreeBuilder::mpr(NodeId u) {
   }
 
   std::sort(picks.begin(), picks.end());
-  for (const NodeId m : picks) tree.add_child(u, m, bfs_.parent_edge(m));
-  reset_flags();
-  publish_stats(tree);
-  return tree;
+  for (const NodeId m : picks) attach(u, m, bfs_.parent_edge(m));
+  publish_stats();
+  return tree_;
 }
+
+namespace {
+
+/// Tree depth of every node of g (kUnreachable off the tree): the checkers
+/// below are O(n) anyway, and a dense table spares them one linear member
+/// scan per probe.
+std::vector<Dist> tree_depths(const Graph& g, const RootedTree& tree) {
+  std::vector<Dist> depth(g.num_nodes(), kUnreachable);
+  for (const NodeId v : tree.nodes()) depth[v] = tree.depth(v);
+  return depth;
+}
+
+}  // namespace
 
 bool is_dominating_tree(const Graph& g, const RootedTree& tree, Dist r, Dist beta) {
   if (!tree_is_valid_subgraph(g, tree)) return false;
   const NodeId u = tree.root();
   const auto dist = bfs_distances(GraphView(g), u, r);
+  const auto tree_depth = tree_depths(g, tree);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     const Dist d = dist[v];
     if (d < 2 || d > r || d == kUnreachable) continue;
     bool dominated = false;
     for (const NodeId x : g.neighbors(v)) {
-      const Dist depth = tree.depth(x);
+      const Dist depth = tree_depth[x];
       if (depth != kUnreachable && depth <= d - 1 + beta) {
         dominated = true;
         break;
@@ -391,13 +411,14 @@ bool is_k_connecting_dominating_tree(const Graph& g, const RootedTree& tree, Dis
   if (!tree_is_valid_subgraph(g, tree)) return false;
   const NodeId u = tree.root();
   const auto dist = bfs_distances(GraphView(g), u, 2);
+  const auto tree_depth = tree_depths(g, tree);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (dist[v] != 2) continue;
     // Alternative A: every common neighbor of u and v is attached by a root
     // edge of the tree.
     bool all_attached = true;
     for (const NodeId w : g.neighbors(v)) {
-      if (g.has_edge(u, w) && tree.depth(w) != 1) {
+      if (g.has_edge(u, w) && tree_depth[w] != 1) {
         all_attached = false;
         break;
       }
@@ -407,7 +428,7 @@ bool is_k_connecting_dominating_tree(const Graph& g, const RootedTree& tree, Dis
     // distinct branches (their root paths share only the root).
     std::unordered_set<NodeId> branches;
     for (const NodeId w : g.neighbors(v)) {
-      const Dist depth = tree.depth(w);
+      const Dist depth = tree_depth[w];
       if (depth >= 1 && depth != kUnreachable && depth <= 1 + beta) {
         branches.insert(tree.branch(w));
       }

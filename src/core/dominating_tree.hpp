@@ -24,6 +24,11 @@
 //
 // All five attach nodes through BFS-parent chains of the same root BFS, so
 // each result is a genuine tree with d_T(u,x) = d_G(u,x).
+//
+// Each tree depends only on its root's ball, and a build touches only that
+// ball: the builder's flags, counters and tree membership live in one
+// table indexed by the root BFS's slots and sized per build, and the tree
+// it returns is its own reusable RootedTree (see DomTreeBuilder).
 #pragma once
 
 #include <algorithm>
@@ -37,9 +42,15 @@
 
 namespace remspan {
 
-/// Reusable per-thread builder: all scratch arrays are kept between calls
-/// and reset in O(|ball|) so building trees for every root of a graph costs
-/// the sum of local work, not n times global resets.
+/// Reusable per-thread builder. A per-root build touches only its ball:
+/// every flag and counter lives in a per-build table indexed by the root
+/// BFS's slots (BoundedBfs::slot), sized O(|ball|) at the start of each
+/// build, and the builder owns the one RootedTree it returns. The only
+/// node-indexed state is the BFS's 4-byte slot array, and once every table
+/// has grown to the largest ball seen, a build allocates nothing.
+///
+/// The tree is returned by const reference and stays valid until this
+/// builder's next build; callers that keep a tree across builds copy it.
 ///
 /// The greedy set-cover picks (greedy / greedy_k) run off a lazy max-heap
 /// of cover counts instead of rescanning every candidate per pick: cover
@@ -55,42 +66,64 @@ class DomTreeBuilder {
   explicit DomTreeBuilder(const Graph& g);
 
   /// Re-targets the builder at a new graph over the same node universe
-  /// (num_nodes must match — all scratch arrays are sized by it). The
+  /// (num_nodes must match — the BFS slot array is sized by it). The
   /// incremental engine rebuilds dirty roots against every new snapshot
   /// with the same per-worker builders instead of reallocating the O(n)
-  /// scratch each batch.
+  /// slot array each batch.
   void rebind(const Graph& g);
 
   /// Algorithm 1: (r, beta)-dominating tree for u. Requires r >= 2.
-  [[nodiscard]] RootedTree greedy(NodeId u, Dist r, Dist beta);
+  [[nodiscard]] const RootedTree& greedy(NodeId u, Dist r, Dist beta);
 
   /// Algorithm 2: (r, 1)-dominating tree for u. Requires r >= 2.
-  [[nodiscard]] RootedTree mis(NodeId u, Dist r);
+  [[nodiscard]] const RootedTree& mis(NodeId u, Dist r);
 
   /// Algorithm 4: k-connecting (2, 0)-dominating tree for u (k >= 1). For
   /// k = 1 this is exactly an OLSR multipoint-relay set with its links.
-  [[nodiscard]] RootedTree greedy_k(NodeId u, Dist k);
+  [[nodiscard]] const RootedTree& greedy_k(NodeId u, Dist k);
 
   /// Algorithm 5: k-connecting (2, 1)-dominating tree for u (k >= 1).
-  [[nodiscard]] RootedTree mis_k(NodeId u, Dist k);
+  [[nodiscard]] const RootedTree& mis_k(NodeId u, Dist k);
 
   /// RFC 3626 MPR set of u (a subset of N(u) covering every strict 2-hop
   /// neighbor) as a star rooted at u, MPRs attached in ascending id order.
-  [[nodiscard]] RootedTree mpr(NodeId u);
+  [[nodiscard]] const RootedTree& mpr(NodeId u);
 
  private:
-  /// Adds the BFS-parent chain from x up to the first node already in the
-  /// tree. Requires x to be reached by the last bfs_ run from tree.root().
-  void add_parent_chain(RootedTree& tree, NodeId x);
+  /// Per-build state of one ball node, indexed by its BFS slot. Entry 0 is
+  /// shared by every node outside the ball: reads of it see "not marked",
+  /// and the builders only ever write zeros to it.
+  struct Mark {
+    std::uint8_t in_s;       ///< still needs covering (the target set S)
+    std::uint8_t in_x;       ///< candidate / picked state (per algorithm)
+    std::uint8_t nbr_u;      ///< member of N(root) (mis_k)
+    Dist cov;                ///< |N(v) ∩ M| (greedy_k)
+    Dist rem;                ///< common neighbors with the root not yet used
+    std::uint32_t member;    ///< 1 + index in tree_, 0 = not in the tree
+    std::uint32_t branches;  ///< used entries of v's branch_table_ row (mis_k)
+  };
 
-  /// Clears the per-node flags for every node the last BFS touched.
-  void reset_flags();
+  [[nodiscard]] Mark& mark(NodeId v) noexcept { return marks_[bfs_.slot(v)]; }
+
+  /// Starts a build at root u: runs the ball BFS to `depth`, sizes the
+  /// per-build marks to the ball and resets the tree to {u}.
+  void begin(NodeId u, Dist depth);
+
+  /// Attaches v under the tree member p with the same contract as
+  /// RootedTree::add_child (p must be a member; a member v must already hang
+  /// under p), answered from the marks instead of tree lookups. Returns v's
+  /// index in tree_.
+  std::uint32_t attach(NodeId p, NodeId v, EdgeId edge);
+
+  /// Adds the BFS-parent chain from x up to the first node already in the
+  /// tree. Requires x to be reached by the last bfs_ run from the root.
+  void add_parent_chain(NodeId x);
 
   /// Adds the whole-build tallies (heap pops, lazy re-keys, cover-count
   /// recomputations) into the installed metrics sink and zeroes them. The
   /// tallies themselves are plain members bumped unconditionally — the
   /// sink branch happens once per tree build, not per heap operation.
-  void publish_stats(const RootedTree& tree);
+  void publish_stats();
 
   /// Heap key for the lazy max-heap: higher cover first, then smaller id
   /// (ids are stored complemented so the default max-heap order does both).
@@ -100,7 +133,7 @@ class DomTreeBuilder {
   }
 
   /// Pops the unpicked candidate with the maximum live cover count (smallest
-  /// id on ties) off heap_. `unpicked` is the in_x_ value marking a
+  /// id on ties) off heap_. `unpicked` is the Mark::in_x value marking a
   /// still-pickable candidate; `live_cover(x)` recomputes x's current cover
   /// in O(deg x). Returns kInvalidNode when no candidate with a positive
   /// cover count remains (the greedy-stall condition).
@@ -122,7 +155,7 @@ class DomTreeBuilder {
       heap_.pop_back();
       const auto recorded = static_cast<std::uint32_t>(entry.key >> 32);
       const auto x = static_cast<NodeId>(~entry.key);
-      if (in_x_[x] != unpicked) continue;  // picked: every remaining entry is dead
+      if (mark(x).in_x != unpicked) continue;  // picked: every remaining entry is dead
       if (entry.epoch == s_epoch_) return x;  // S untouched since recording: exact
       ++stat_cover_touches_;
       const std::uint32_t live = live_cover(x);
@@ -144,13 +177,12 @@ class DomTreeBuilder {
 
   const Graph* g_;
   BoundedBfs bfs_;
-  // in_s_: node still needs covering; cov_: generic per-node counter;
-  // branches_: distinct tree branches adjacent to a shell node (mis_k).
-  std::vector<std::uint8_t> in_s_;
-  std::vector<std::uint8_t> in_x_;
-  std::vector<Dist> cov_;
-  std::vector<Dist> rem_;
-  std::vector<std::vector<NodeId>> branches_;
+  RootedTree tree_;
+  std::vector<Mark> marks_;  // by BFS slot, re-sized per build
+  // branch_table_: mis_k's distinct tree branches adjacent to each node of
+  // S, one row of min(k, deg root) entries per S node (a row fills up to k
+  // at most: reaching k removes the node from S).
+  std::vector<NodeId> branch_table_;
   /// Lazy-heap entry: key orders by (cover, smallest id); epoch is the
   /// s_epoch_ value at which the cover was recorded (exact iff unchanged).
   struct HeapEntry {
@@ -159,13 +191,12 @@ class DomTreeBuilder {
     [[nodiscard]] bool operator<(const HeapEntry& o) const noexcept { return key < o.key; }
   };
 
-  // nbr_u_: marks N(root) so mis_k's attach-point test is an O(1) flag
-  // load instead of a per-neighbor adjacency search.
-  std::vector<std::uint8_t> nbr_u_;
   // heap_: lazy max-heap over heap_key(cover, id);
-  // shell_sorted_: per-shell id-order scratch (mis, mis_k; mpr's picks).
+  // shell_sorted_: per-shell id-order scratch (mis, mis_k; mpr's picks);
+  // ys_: mis_k's fresh attachment points for one pick.
   std::vector<HeapEntry> heap_;
   std::vector<NodeId> shell_sorted_;
+  std::vector<NodeId> ys_;
   // Bumped once per batch of removals from the cover target set S; heap
   // entries recorded at the current epoch need no revalidation.
   std::uint32_t s_epoch_ = 0;

@@ -1,7 +1,6 @@
 #include "core/remote_spanner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <source_location>
 #include <vector>
 
@@ -34,7 +33,7 @@ TreeRule TreeRule::two_connecting(Dist k) {
 
 TreeRule TreeRule::mpr() { return TreeRule{Kind::kMpr, 2, 0, 1}; }
 
-RootedTree TreeRule::build(DomTreeBuilder& builder, NodeId root) const {
+const RootedTree& TreeRule::build(DomTreeBuilder& builder, NodeId root) const {
   switch (kind) {
     case Kind::kGreedy:
       return builder.greedy(root, r, beta);
@@ -86,75 +85,57 @@ void TreeUnionDriver::run(std::span<const NodeId> roots, const TreeRule& rule,
       });
 }
 
-/// Unions the tree edges into one shared bitset of atomic words — O(m)
-/// bits total, independent of the worker count (per-worker EdgeSet
-/// accumulators would cost O(workers · m), which is what blows memory
-/// first on n >= 10^6 inputs).
+/// Unions the tree edges into one plain bitset per worker and ORs those
+/// together after the join: m/8 bytes per worker, and no atomic
+/// read-modify-write, sort or compare-and-swap on the per-tree path.
 ///
-/// Memory model: each worker merges one tree's edge bits into plain
-/// (word, mask) pairs first, then publishes each touched word with a single
-/// relaxed fetch_or. Relaxed is sufficient because a set bit carries no
-/// payload other threads read through it; the final snapshot() happens
-/// after the fork/join barrier of the driver's parallel loop, which orders
-/// every write before the read.
+/// Memory model: a worker writes only its own Partial (and its own
+/// builder), so the tree loop shares nothing mutable. The reduction reads
+/// every Partial after the driver's parallel loop has joined, and that
+/// fork/join barrier orders every worker's writes before those reads.
 EdgeSet union_of_trees(const Graph& g, std::span<const NodeId> roots,
                        const TreeRule& rule, SpannerBuildInfo* info) {
   obs::PhaseSpan span("core.union_of_trees");
   TreeUnionDriver driver(g);
-  AtomicBitset shared(g.edge_id_bound());
-  // Per-worker reusable edge-id buffer, sized by the largest tree seen.
-  std::vector<std::vector<EdgeId>> edge_ids(driver.workers());
-
-  std::atomic<std::size_t> sum_edges{0};
-  std::atomic<std::size_t> max_edges{0};
-  // Union-cost observability: atomic words or'd and max-tracking CAS
-  // retries, accumulated only when a metrics sink is installed (the
-  // counts are telemetry, not part of the build result).
-  std::atomic<std::uint64_t> words_ord{0};
-  std::atomic<std::uint64_t> cas_retries{0};
-  const bool count_union = obs::metrics() != nullptr;
+  // One cache line apart, so two workers' tallies never share a line.
+  struct alignas(64) Partial {
+    DynamicBitset bits;
+    std::size_t sum_edges = 0;
+    std::size_t max_edges = 0;
+  };
+  std::vector<Partial> partial(driver.workers());
+  for (Partial& p : partial) p.bits.resize(g.edge_id_bound());
 
   driver.run(roots, rule, [&](NodeId /*root*/, const RootedTree& tree, std::size_t worker) {
-    auto& ids = edge_ids[worker];
-    ids.clear();
-    for (const NodeId v : tree.nodes()) {
-      if (v == tree.root()) continue;
-      // The builders record each node's parent edge id at attach time, so the
-      // union needs no adjacency search per tree edge.
-      const EdgeId id = tree.parent_edge(v);
+    Partial& p = partial[worker];
+    // The builders record each node's parent edge id at attach time, so the
+    // union needs no adjacency search per tree edge.
+    for (const EdgeId id : tree.parent_edges()) {
       REMSPAN_CHECK(id != kInvalidEdge);
-      ids.push_back(id);
+      p.bits.set(id);
     }
-    const std::size_t edges = ids.size();
-    // Word-level batching (or_batch): one tree's bits merge into plain
-    // masks locally, one atomic RMW per touched word — contention stays
-    // off the hot loop.
-    const std::size_t touched = shared.or_batch(ids);
-    sum_edges.fetch_add(edges, std::memory_order_relaxed);
-    std::size_t seen = max_edges.load(std::memory_order_relaxed);
-    std::uint64_t retries = 0;
-    while (edges > seen &&
-           !max_edges.compare_exchange_weak(seen, edges, std::memory_order_relaxed)) {
-      ++retries;
-    }
-    if (count_union) {
-      words_ord.fetch_add(touched, std::memory_order_relaxed);
-      cas_retries.fetch_add(retries, std::memory_order_relaxed);
-    }
+    p.sum_edges += tree.num_edges();
+    p.max_edges = std::max(p.max_edges, tree.num_edges());
   });
 
-  EdgeSet spanner(g, shared.snapshot());
+  DynamicBitset bits = std::move(partial.front().bits);
+  std::size_t sum_edges = partial.front().sum_edges;
+  std::size_t max_edges = partial.front().max_edges;
+  for (std::size_t w = 1; w < partial.size(); ++w) {
+    bits |= partial[w].bits;
+    sum_edges += partial[w].sum_edges;
+    max_edges = std::max(max_edges, partial[w].max_edges);
+  }
+  EdgeSet spanner(g, std::move(bits));
 
   if (info != nullptr) {
-    info->sum_tree_edges = sum_edges.load();
-    info->max_tree_edges = max_edges.load();
+    info->sum_tree_edges = sum_edges;
+    info->max_tree_edges = max_edges;
     info->build_seconds = span.seconds();
   }
   if (obs::Registry* m = obs::metrics()) {
     m->counter("union.builds").add(1);
     m->counter("union.trees").add(roots.size());
-    m->counter("union.words_ord").add(words_ord.load());
-    m->counter("union.cas_retries").add(cas_retries.load());
     m->counter("union.spanner_edges").add(spanner.size());
   }
   return spanner;

@@ -74,7 +74,8 @@ struct TreeRule {
   [[nodiscard]] static TreeRule mpr();
 
   /// Builds root's tree with `builder`: the one per-root build dispatch.
-  [[nodiscard]] RootedTree build(DomTreeBuilder& builder, NodeId root) const;
+  /// The tree is the builder's own and stays valid until its next build.
+  [[nodiscard]] const RootedTree& build(DomTreeBuilder& builder, NodeId root) const;
 
   /// The tree of root u is a deterministic function of the edges with an
   /// endpoint within this many hops of u: max(1, r + beta - 1). The BFS
@@ -100,7 +101,8 @@ struct SpannerBuildInfo {
 };
 
 /// Receives each built tree; `worker` indexes per-worker scratch
-/// (< TreeUnionDriver::workers()). Called concurrently from pool workers.
+/// (< TreeUnionDriver::workers()). Called concurrently from pool workers;
+/// the tree is the worker's builder's and is reused for its next root.
 using TreeVisitor = std::function<void(NodeId root, const RootedTree& tree, std::size_t worker)>;
 
 /// The per-root build loop: one DomTreeBuilder per ThreadPool::global()
@@ -125,8 +127,9 @@ class TreeUnionDriver {
   std::vector<std::unique_ptr<DomTreeBuilder>> builders_;
 };
 
-/// The static union: ORs the tree of every root in `roots` into one shared
-/// atomic bitset. The result depends on the root SET only, never its order.
+/// The static union: ORs the tree edges of every root in `roots` into its
+/// worker's plain bitset, then ORs those together after the join. The
+/// result depends on the root SET only, never its order.
 [[nodiscard]] EdgeSet union_of_trees(const Graph& g, std::span<const NodeId> roots,
                                      const TreeRule& rule,
                                      SpannerBuildInfo* info = nullptr);

@@ -104,12 +104,10 @@ std::size_t IncrementalSpanner::build_trees(std::span<const NodeId> roots) {
       // shared refcounts.
       [&](NodeId root, const RootedTree& tree, std::size_t /*worker*/) {
         std::vector<EdgeId>& out = trees_[root];
-        out.clear();
-        for (const NodeId v : tree.nodes()) {
-          if (v == tree.root()) continue;
-          const EdgeId id = tree.parent_edge(v);
+        const std::span<const EdgeId> ids = tree.parent_edges();
+        out.assign(ids.begin(), ids.end());
+        for (const EdgeId id : out) {
           REMSPAN_CHECK(id != kInvalidEdge);
-          out.push_back(id);
           std::atomic_ref<std::uint32_t>(ref_[id]).fetch_add(1, std::memory_order_relaxed);
         }
         built.fetch_add(out.size(), std::memory_order_relaxed);

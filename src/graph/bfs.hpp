@@ -1,8 +1,18 @@
 // Breadth-first search over any NeighborView, with optional depth bound.
 //
-// BoundedBfs keeps its arrays between runs and resets only the nodes it
-// touched, so per-root ball explorations (the inner loop of every
-// dominating-tree algorithm) cost O(|ball|), not O(n).
+// BoundedBfs keeps a single node-indexed array between runs: each node's
+// slot, 1 + its position in order() when the last run reached it and 0
+// otherwise. Distance, parent and parent edge live in a per-slot table
+// that grows with the ball, and a run resets only the slots of the nodes
+// it touched, so per-root ball explorations (the inner loop of every
+// dominating-tree algorithm) cost O(|ball|), not O(n), and the only
+// n-sized state is 4 bytes per node.
+//
+// Slot 0 is the shared "outside the ball" entry (kUnreachable,
+// kInvalidNode, kInvalidEdge), so every accessor is a plain two-step load
+// with no branch. Callers keep their own per-run scratch the same way:
+// sized order().size() + 1 and indexed by slot(v), its entry 0 is where
+// every node outside the ball lands (the dominating-tree builders do this).
 //
 // The visit order is a reusable flat workspace for the ball B(src, depth):
 // nodes are appended in non-decreasing distance, and run() records the
@@ -12,6 +22,7 @@
 // instead of rescanning the whole ball per shell.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -23,8 +34,10 @@ namespace remspan {
 
 class BoundedBfs {
  public:
-  explicit BoundedBfs(std::size_t n)
-      : dist_(n, kUnreachable), parent_(n, kInvalidNode), parent_edge_(n, kInvalidEdge) {}
+  explicit BoundedBfs(std::size_t n) : slot_(n, 0), visit_(1, kOutside) {}
+
+  /// Size of the node universe the BFS was built for.
+  [[nodiscard]] std::size_t num_nodes() const noexcept { return slot_.size(); }
 
   /// Runs BFS from src, exploring nodes at distance <= max_depth. Returns the
   /// visit order (src first, non-decreasing distance). Results stay valid
@@ -46,27 +59,22 @@ class BoundedBfs {
     reset();
     for (const NodeId src : sources) {
       REMSPAN_CHECK(src < view.num_nodes());
-      if (dist_[src] != kUnreachable) continue;  // duplicate source
-      dist_[src] = 0;
-      parent_[src] = kInvalidNode;
-      order_.push_back(src);
+      if (slot_[src] != 0) continue;  // duplicate source
+      append(src, Visit{0, kInvalidNode, kInvalidEdge});
     }
     shell_offsets_.push_back(0);  // shell 0 starts at order_[0]
     // order_ doubles as the queue: nodes are appended in BFS order.
     for (std::size_t head = 0; head < order_.size(); ++head) {
       const NodeId u = order_[head];
-      const Dist du = dist_[u];
+      const Dist du = visit_[head + 1].dist;
       if (du >= max_depth) continue;
       const Dist dv = du + 1;
       auto visit = [&](NodeId v, EdgeId id) {
-        if (dist_[v] == kUnreachable) {
-          dist_[v] = dv;
-          parent_[v] = u;
-          parent_edge_[v] = id;
+        if (slot_[v] == 0) {
           // First node of a new shell: record where it starts. Shells appear
           // in order because order_ is sorted by distance.
           if (dv == shell_offsets_.size()) shell_offsets_.push_back(order_.size());
-          order_.push_back(v);
+          append(v, Visit{dv, u, id});
         }
       };
       if constexpr (EdgeNeighborView<View>) {
@@ -79,19 +87,26 @@ class BoundedBfs {
     return order_;
   }
 
-  [[nodiscard]] Dist dist(NodeId v) const noexcept { return dist_[v]; }
-  [[nodiscard]] bool reached(NodeId v) const noexcept { return dist_[v] != kUnreachable; }
+  [[nodiscard]] Dist dist(NodeId v) const noexcept { return visit_[slot_[v]].dist; }
+  [[nodiscard]] bool reached(NodeId v) const noexcept { return slot_[v] != 0; }
+
+  /// 1 + v's position in order() when the last run reached v, else 0.
+  /// Per-run scratch sized order().size() + 1 and indexed by slot(v) holds
+  /// exactly the ball plus one shared entry for every node outside it.
+  [[nodiscard]] std::uint32_t slot(NodeId v) const noexcept { return slot_[v]; }
 
   /// BFS-tree parent of v (kInvalidNode for the source and unreached nodes).
   /// Following parents from x to the source traces a shortest path, which is
   /// exactly how the dominating-tree algorithms add "a shortest path from u
   /// to x in G" while keeping the union a tree (DESIGN.md §4).
-  [[nodiscard]] NodeId parent(NodeId v) const noexcept { return parent_[v]; }
+  [[nodiscard]] NodeId parent(NodeId v) const noexcept { return visit_[slot_[v]].parent; }
 
   /// Id of the edge {parent(v), v} in the underlying Graph, recorded when the
   /// last run() used an EdgeNeighborView (kInvalidEdge for the source,
   /// unreached nodes, and runs over edge-less views).
-  [[nodiscard]] EdgeId parent_edge(NodeId v) const noexcept { return parent_edge_[v]; }
+  [[nodiscard]] EdgeId parent_edge(NodeId v) const noexcept {
+    return visit_[slot_[v]].parent_edge;
+  }
 
   [[nodiscard]] const std::vector<NodeId>& order() const noexcept { return order_; }
 
@@ -132,19 +147,29 @@ class BoundedBfs {
     m.histogram("bfs.frontier_max").record(widest);
   }
 
+  /// What a run learned about one reached node, stored by slot.
+  struct Visit {
+    Dist dist;
+    NodeId parent;
+    EdgeId parent_edge;
+  };
+  static constexpr Visit kOutside{kUnreachable, kInvalidNode, kInvalidEdge};
+
+  void append(NodeId v, const Visit& visit) {
+    order_.push_back(v);
+    slot_[v] = static_cast<std::uint32_t>(order_.size());
+    visit_.push_back(visit);
+  }
+
   void reset() {
-    for (const NodeId v : order_) {
-      dist_[v] = kUnreachable;
-      parent_[v] = kInvalidNode;
-      parent_edge_[v] = kInvalidEdge;
-    }
+    for (const NodeId v : order_) slot_[v] = 0;
     order_.clear();
+    visit_.resize(1);  // keeps the kOutside entry at slot 0
     shell_offsets_.clear();
   }
 
-  std::vector<Dist> dist_;
-  std::vector<NodeId> parent_;
-  std::vector<EdgeId> parent_edge_;
+  std::vector<std::uint32_t> slot_;  // node -> 1 + position in order_, 0 = outside
+  std::vector<Visit> visit_;         // slot -> visit record; visit_[0] == kOutside
   std::vector<NodeId> order_;
   std::vector<std::size_t> shell_offsets_;  // shell d starts at order_[shell_offsets_[d]]
 };

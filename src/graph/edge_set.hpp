@@ -22,9 +22,9 @@ class EdgeSet {
   }
 
   /// Adopts an already-built bitset over g's edge ids (one bit per id below
-  /// g.edge_id_bound()).
-  /// This is how the parallel spanner union turns its shared AtomicBitset
-  /// snapshot into an EdgeSet without re-inserting every edge.
+  /// g.edge_id_bound()). This is how the parallel spanner union turns its
+  /// reduced per-worker bitsets into an EdgeSet without re-inserting every
+  /// edge.
   EdgeSet(const Graph& g, DynamicBitset bits) : graph_(&g), bits_(std::move(bits)) {
     REMSPAN_CHECK(bits_.size() == g.edge_id_bound());
   }

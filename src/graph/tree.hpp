@@ -5,14 +5,19 @@
 // paths from the root share only the root iff they live in distinct
 // branches).
 //
-// Membership lives in an insert-only open-addressing table rather than
-// std::unordered_map: a build constructs one tree per root (10^7 of them at
-// scale), and the node-per-allocation map made tree bookkeeping a visible
-// slice of every engine's per-root constant. The flat table costs one
-// allocation per tree (amortized) and a couple of probes per lookup.
+// Storage is a flat member list in insertion order, one parallel entry per
+// member (parent edge id; parent, depth and branch), and nothing else: no
+// per-node index and no hash table. A dominating tree has a few dozen
+// members, so the by-node lookups below are short linear scans, and the
+// builders that grow trees (DomTreeBuilder) track membership in their own
+// ball-indexed scratch, check add_child's contract there, and append
+// through the friend path. One builder reuses one RootedTree for every
+// root it builds, so after warm-up a per-root build allocates nothing.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -22,44 +27,37 @@ namespace remspan {
 
 class RootedTree {
  public:
-  explicit RootedTree(NodeId root)
-      : root_(root), slots_(kInitialSlots, Slot{kInvalidNode, Info{}}) {
-    nodes_.reserve(kInitialSlots / 2);
-    nodes_.push_back(root);
-    insert(root, Info{kInvalidNode, 0, kInvalidNode, kInvalidEdge});
-  }
+  explicit RootedTree(NodeId root) { reset(root); }
 
-  [[nodiscard]] NodeId root() const noexcept { return root_; }
-  [[nodiscard]] bool contains(NodeId v) const { return find(v) != nullptr; }
+  [[nodiscard]] NodeId root() const noexcept { return nodes_.front(); }
+  [[nodiscard]] bool contains(NodeId v) const { return find(v) != kAbsent; }
   [[nodiscard]] std::size_t num_nodes() const noexcept { return nodes_.size(); }
   [[nodiscard]] std::size_t num_edges() const noexcept { return nodes_.size() - 1; }
 
   /// Depth of v in the tree (kUnreachable when absent). d_T(root, v) == depth.
   [[nodiscard]] Dist depth(NodeId v) const {
-    const Info* info = find(v);
-    return info == nullptr ? kUnreachable : info->depth;
+    const std::size_t i = find(v);
+    return i == kAbsent ? kUnreachable : links_[i].depth;
   }
 
   [[nodiscard]] NodeId parent(NodeId v) const {
-    const Info* info = find(v);
-    return info == nullptr ? kInvalidNode : info->parent;
+    const std::size_t i = find(v);
+    return i == kAbsent ? kInvalidNode : links_[i].parent;
   }
 
   /// Graph edge id of {parent(v), v} as recorded at add_child time
-  /// (kInvalidEdge for the root, absent nodes, and graph-less trees). Lets
-  /// union_of_trees insert tree edges into an EdgeSet with no adjacency
-  /// search.
+  /// (kInvalidEdge for the root, absent nodes, and graph-less trees).
   [[nodiscard]] EdgeId parent_edge(NodeId v) const {
-    const Info* info = find(v);
-    return info == nullptr ? kInvalidEdge : info->parent_edge;
+    const std::size_t i = find(v);
+    return i == kAbsent ? kInvalidEdge : parent_edges_[i];
   }
 
   /// The child of the root on the path root -> v; kInvalidNode for the root
   /// itself or absent nodes. Two members have internally disjoint root paths
   /// iff their branches differ.
   [[nodiscard]] NodeId branch(NodeId v) const {
-    const Info* info = find(v);
-    return info == nullptr ? kInvalidNode : info->branch;
+    const std::size_t i = find(v);
+    return i == kAbsent ? kInvalidNode : links_[i].branch;
   }
 
   /// Attaches v as a child of p (p must already be in the tree). If v is
@@ -68,92 +66,71 @@ class RootedTree {
   /// {p, v} in the underlying Graph when the caller knows it (the BFS that
   /// discovered v records it); kInvalidEdge for trees built without a graph.
   void add_child(NodeId p, NodeId v, EdgeId edge = kInvalidEdge) {
-    const Info* pinfo = find(p);
-    REMSPAN_CHECK(pinfo != nullptr);
-    const Info* vinfo = find(v);
-    if (vinfo != nullptr) {
-      REMSPAN_CHECK(vinfo->parent == p);
+    const std::size_t pi = find(p);
+    REMSPAN_CHECK(pi != kAbsent);
+    const std::size_t vi = find(v);
+    if (vi != kAbsent) {
+      REMSPAN_CHECK(links_[vi].parent == p);
       return;
     }
-    Info info;
-    info.parent = p;
-    info.depth = pinfo->depth + 1;
-    info.branch = (p == root_) ? v : pinfo->branch;
-    info.parent_edge = edge;
-    insert(v, info);  // copies of pinfo's fields taken above: insert may rehash
-    nodes_.push_back(v);
+    append(pi, v, edge);
   }
 
   /// Members in insertion order (root first).
   [[nodiscard]] const std::vector<NodeId>& nodes() const noexcept { return nodes_; }
 
+  /// Graph edge ids of the tree edges: entry i is the parent edge of
+  /// nodes()[i + 1]. This is how the unions read a tree with no lookup.
+  [[nodiscard]] std::span<const EdgeId> parent_edges() const noexcept {
+    return std::span<const EdgeId>(parent_edges_).subspan(1);
+  }
+
   /// Tree edges as canonical graph edges.
   [[nodiscard]] std::vector<Edge> edges() const {
     std::vector<Edge> out;
     out.reserve(num_edges());
-    for (const NodeId v : nodes_) {
-      if (v == root_) continue;
-      out.push_back(make_edge(v, find(v)->parent));
+    for (std::size_t i = 1; i < nodes_.size(); ++i) {
+      out.push_back(make_edge(nodes_[i], links_[i].parent));
     }
     return out;
   }
 
  private:
-  struct Info {
+  friend class DomTreeBuilder;
+
+  struct Link {
     NodeId parent;
     Dist depth;
     NodeId branch;
-    EdgeId parent_edge;
   };
-  /// key == kInvalidNode marks an empty slot; graph node ids are strictly
-  /// below the sentinel (check_graph_limits), so no member can collide.
-  struct Slot {
-    NodeId key;
-    Info info;
-  };
+  static constexpr std::size_t kAbsent = ~std::size_t{0};
 
-  static constexpr std::size_t kInitialSlots = 16;  // power of two
-
-  [[nodiscard]] static std::size_t hash(NodeId v) noexcept {
-    std::uint32_t h = v * UINT32_C(0x9E3779B9);  // Fibonacci mixing
-    h ^= h >> 16;
-    return h;
+  [[nodiscard]] std::size_t find(NodeId v) const {
+    const auto it = std::find(nodes_.begin(), nodes_.end(), v);
+    return it == nodes_.end() ? kAbsent : static_cast<std::size_t>(it - nodes_.begin());
   }
 
-  [[nodiscard]] const Info* find(NodeId v) const {
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = hash(v) & mask;; i = (i + 1) & mask) {
-      const Slot& s = slots_[i];
-      if (s.key == v) return &s.info;
-      if (s.key == kInvalidNode) return nullptr;
-    }
+  /// Empties the tree down to `root`, keeping the members' capacity.
+  void reset(NodeId root) {
+    nodes_.assign(1, root);
+    parent_edges_.assign(1, kInvalidEdge);
+    links_.assign(1, Link{kInvalidNode, 0, kInvalidNode});
   }
 
-  /// Inserts a key known to be absent, growing first when the table would
-  /// pass half load (keeps probe chains a couple of slots long).
-  void insert(NodeId v, const Info& info) {
-    if ((entries_ + 1) * 2 > slots_.size()) {
-      std::vector<Slot> old(slots_.size() * 2, Slot{kInvalidNode, Info{}});
-      old.swap(slots_);
-      const std::size_t mask = slots_.size() - 1;
-      for (const Slot& s : old) {
-        if (s.key == kInvalidNode) continue;
-        std::size_t i = hash(s.key) & mask;
-        while (slots_[i].key != kInvalidNode) i = (i + 1) & mask;
-        slots_[i] = s;
-      }
-    }
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = hash(v) & mask;
-    while (slots_[i].key != kInvalidNode) i = (i + 1) & mask;
-    slots_[i] = Slot{v, info};
-    ++entries_;
+  /// Appends v (not yet a member) under the member at index `pi`; returns
+  /// v's index. No lookups: the caller vouches for both preconditions.
+  std::size_t append(std::size_t pi, NodeId v, EdgeId edge) {
+    const Link& p = links_[pi];
+    const Link link{nodes_[pi], p.depth + 1, pi == 0 ? v : p.branch};
+    nodes_.push_back(v);
+    parent_edges_.push_back(edge);
+    links_.push_back(link);  // built before push_back: the push may reallocate p
+    return nodes_.size() - 1;
   }
 
-  NodeId root_;
-  std::vector<NodeId> nodes_;
-  std::vector<Slot> slots_;
-  std::size_t entries_ = 0;
+  std::vector<NodeId> nodes_;        // members, root first
+  std::vector<EdgeId> parent_edges_;  // parallel to nodes_
+  std::vector<Link> links_;           // parallel to nodes_
 };
 
 }  // namespace remspan

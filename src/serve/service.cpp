@@ -31,11 +31,12 @@ struct SpannerService::Tenant {
     SnapshotInfo info;
     info.epoch = 0;
     info.graph_version = session->engine().version();
-    snap.store(std::make_shared<const SpannerSnapshot>(session->engine().graph_ptr(),
-                                                       session->spanner().bits(), info),
-               std::memory_order_release);
     stats.graph_version = info.graph_version;
     stats.spanner_edges = session->spanner().size();
+    snap.store(std::make_shared<const SpannerSnapshot>(session->engine().graph_ptr(),
+                                                       session->spanner().bits(),
+                                                       stats.spanner_edges, info),
+               std::memory_order_release);
   }
 
   TenantId id = kInvalidTenant;
@@ -247,7 +248,8 @@ SpannerService::DrainResult SpannerService::drain_pass(Tenant& t) {
     info.events_applied = prev->info().events_applied + applied;
     info.last_batch = bs;
     next = std::make_shared<const SpannerSnapshot>(t.session->engine().graph_ptr(),
-                                                   t.session->spanner().bits(), info);
+                                                   t.session->spanner().bits(),
+                                                   bs.spanner_edges, info);
   }
 
   bool more = false;

@@ -60,10 +60,10 @@ void bfs_augmented(const Graph& g, const EdgeSet& h, NodeId source, std::vector<
 }  // namespace
 
 SpannerSnapshot::SpannerSnapshot(std::shared_ptr<const Graph> graph, DynamicBitset spanner_bits,
-                                 SnapshotInfo info)
+                                 std::size_t spanner_edges, SnapshotInfo info)
     : graph_(std::move(graph)),
       spanner_(*graph_, std::move(spanner_bits)),
-      spanner_edges_(spanner_.size()),
+      spanner_edges_(spanner_edges),
       info_(info) {
   REMSPAN_CHECK(graph_ != nullptr);
 }

@@ -40,8 +40,10 @@ class SpannerSnapshot {
   /// Freezes `graph` + `spanner_bits` (one bit per graph edge id) at
   /// `info`. The graph is shared, the bits are owned: nothing in the
   /// snapshot aliases tenant state that a later batch could mutate.
+  /// `spanner_edges` is the number of set bits, as the engine already
+  /// counts it (publishing never re-counts the copied bitset).
   SpannerSnapshot(std::shared_ptr<const Graph> graph, DynamicBitset spanner_bits,
-                  SnapshotInfo info);
+                  std::size_t spanner_edges, SnapshotInfo info);
 
   [[nodiscard]] std::uint64_t epoch() const noexcept { return info_.epoch; }
   [[nodiscard]] const SnapshotInfo& info() const noexcept { return info_; }

@@ -61,7 +61,7 @@ std::vector<Edge> compute_local_tree_edges(const TreeRule& rule, NodeId self,
   const NodeId root = local_id.at(self);
 
   DomTreeBuilder trees(local);
-  const RootedTree tree = rule.build(trees, root);
+  const RootedTree& tree = rule.build(trees, root);
   std::vector<Edge> out;
   out.reserve(tree.num_edges());
   for (const Edge& e : tree.edges()) {

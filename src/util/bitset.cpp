@@ -1,36 +1,9 @@
 #include "util/bitset.hpp"
 
-#include <algorithm>
 #include <bit>
+#include <utility>
 
 namespace remspan {
-
-std::size_t AtomicBitset::or_batch(std::vector<std::uint32_t>& bits) {
-  std::sort(bits.begin(), bits.end());
-  std::size_t words_ord = 0;
-  for (std::size_t i = 0; i < bits.size();) {
-    const std::size_t w = bits[i] >> 6;
-    std::uint64_t mask = 0;
-    for (; i < bits.size() && (bits[i] >> 6) == w; ++i) {
-      mask |= std::uint64_t{1} << (bits[i] & 63);
-    }
-    or_word(w, mask);
-    ++words_ord;
-  }
-  return words_ord;
-}
-
-void AtomicBitset::clear_batch(std::vector<std::uint32_t>& bits) {
-  std::sort(bits.begin(), bits.end());
-  for (std::size_t i = 0; i < bits.size();) {
-    const std::size_t w = bits[i] >> 6;
-    std::uint64_t mask = 0;
-    for (; i < bits.size() && (bits[i] >> 6) == w; ++i) {
-      mask |= std::uint64_t{1} << (bits[i] & 63);
-    }
-    words_[w].fetch_and(~mask, std::memory_order_relaxed);
-  }
-}
 
 DynamicBitset DynamicBitset::from_words(std::size_t bits, std::vector<std::uint64_t> words) {
   REMSPAN_CHECK(words.size() == (bits + 63) / 64);

@@ -1,11 +1,9 @@
 // Dynamic bitset with fast population count and iteration over set bits.
-// EdgeSet (the spanner-subset representation) is built on top of this.
-// AtomicBitset is the concurrent sibling: a fixed-size bitset of
-// std::atomic words that many workers set into lock-free (the shared
-// spanner union in core/remote_spanner.cpp is its main client).
+// EdgeSet (the spanner-subset representation) is built on top of this, and
+// the parallel spanner union (core/remote_spanner.cpp) gives every pool
+// worker one plain DynamicBitset and ORs them together after the join.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -24,8 +22,7 @@ class DynamicBitset {
   }
 
   /// Adopts a raw word vector (words.size() must match the bit count; the
-  /// tail of the last word is masked off). This is how AtomicBitset
-  /// snapshots become ordinary bitsets without a bit-by-bit copy.
+  /// tail of the last word is masked off), with no bit-by-bit copy.
   [[nodiscard]] static DynamicBitset from_words(std::size_t bits,
                                                 std::vector<std::uint64_t> words);
 
@@ -99,70 +96,6 @@ class DynamicBitset {
 
   std::size_t bits_ = 0;
   std::vector<std::uint64_t> words_;
-};
-
-/// Fixed-size bitset whose words are std::atomic<std::uint64_t>, for
-/// many-writer set-only phases (bits are only ever turned on). Writers use
-/// relaxed fetch_or: setting a bit carries no payload another thread reads
-/// through that bit, so no release/acquire pairing is needed — publication
-/// to the final reader happens once via the fork/join barrier of the
-/// parallel loop that drives the writers. snapshot() is therefore only
-/// valid after all writers have been joined.
-class AtomicBitset {
- public:
-  explicit AtomicBitset(std::size_t bits)
-      : bits_(bits), words_((bits + 63) / 64) {}  // atomics value-initialize to 0
-
-  [[nodiscard]] std::size_t size() const noexcept { return bits_; }
-  [[nodiscard]] std::size_t num_words() const noexcept { return words_.size(); }
-
-  void set(std::size_t i) noexcept {
-    words_[i >> 6].fetch_or(std::uint64_t{1} << (i & 63), std::memory_order_relaxed);
-  }
-
-  void clear(std::size_t i) noexcept {
-    words_[i >> 6].fetch_and(~(std::uint64_t{1} << (i & 63)), std::memory_order_relaxed);
-  }
-
-  /// ORs a whole prepared word in one RMW — the word-level batching hook:
-  /// callers accumulate the bits of one logical unit (e.g. one dominating
-  /// tree) into plain masks and pay one atomic op per touched word.
-  void or_word(std::size_t word_index, std::uint64_t mask) noexcept {
-    if (mask != 0) words_[word_index].fetch_or(mask, std::memory_order_relaxed);
-  }
-
-  /// ORs a batch of bit indices (one logical unit, e.g. one tree's edge
-  /// ids): `bits` is sorted in place — sorted indices group by word — and
-  /// same-word bits merge into one plain mask, so each touched word costs
-  /// exactly one relaxed RMW. Returns the number of words actually or'd
-  /// (the RMW count — callers report it as union cost, see src/obs).
-  std::size_t or_batch(std::vector<std::uint32_t>& bits);
-
-  /// Clears a batch of bit indices with the same word-level discipline as
-  /// or_batch: one relaxed fetch_and per touched word. The retire mirror of
-  /// or_batch for many-writer clear phases (concurrent disjoint clears are
-  /// exact — see test_util.cpp); the incremental spanner engine itself
-  /// retires through per-edge refcounts instead, since a bit carries no
-  /// owner count.
-  void clear_batch(std::vector<std::uint32_t>& bits);
-
-  [[nodiscard]] bool test(std::size_t i) const noexcept {
-    return (words_[i >> 6].load(std::memory_order_relaxed) >> (i & 63)) & 1u;
-  }
-
-  /// Copies the current words into a plain DynamicBitset. Only meaningful
-  /// after the writing phase has been joined (see class comment).
-  [[nodiscard]] DynamicBitset snapshot() const {
-    std::vector<std::uint64_t> words(words_.size());
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      words[w] = words_[w].load(std::memory_order_relaxed);
-    }
-    return DynamicBitset::from_words(bits_, std::move(words));
-  }
-
- private:
-  std::size_t bits_ = 0;
-  std::vector<std::atomic<std::uint64_t>> words_;
 };
 
 }  // namespace remspan

@@ -1,6 +1,9 @@
 // BFS over the three views (G, H, H_u) and bounded-depth behaviour.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "geom/synthetic.hpp"
 #include "graph/bfs.hpp"
 #include "graph/distances.hpp"
@@ -97,6 +100,62 @@ TEST(BoundedBfs, ShellOffsetsResetBetweenRuns) {
   EXPECT_EQ(bfs.shell(2).size(), 1u);
   EXPECT_EQ(bfs.shell(2)[0], 7u);
   EXPECT_TRUE(bfs.shell(3).empty());
+}
+
+/// The reused BFS must read exactly like a fresh instance after every run:
+/// the same order and shells, the same per-node answers inside the ball,
+/// and the unreached answers everywhere outside it (a stale slot left by
+/// an earlier ball would surface here).
+void expect_matches_fresh(const Graph& g, const BoundedBfs& reused,
+                          std::span<const NodeId> sources, Dist depth) {
+  BoundedBfs fresh(g.num_nodes());
+  fresh.run_multi(GraphView(g), sources, depth);
+  ASSERT_EQ(reused.order(), fresh.order());
+  ASSERT_EQ(reused.num_shells(), fresh.num_shells());
+  for (Dist d = 0; d <= fresh.num_shells(); ++d) {
+    const auto got = reused.shell(d);
+    const auto want = fresh.shell(d);
+    EXPECT_EQ(std::vector<NodeId>(got.begin(), got.end()),
+              std::vector<NodeId>(want.begin(), want.end()))
+        << "shell " << d;
+  }
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (!fresh.reached(v)) {
+      EXPECT_FALSE(reused.reached(v)) << v;
+      EXPECT_EQ(reused.slot(v), 0u) << v;
+      EXPECT_EQ(reused.dist(v), kUnreachable) << v;
+      EXPECT_EQ(reused.parent(v), kInvalidNode) << v;
+      EXPECT_EQ(reused.parent_edge(v), kInvalidEdge) << v;
+      continue;
+    }
+    ASSERT_NE(reused.slot(v), 0u) << v;
+    EXPECT_EQ(reused.order()[reused.slot(v) - 1], v);
+    EXPECT_EQ(reused.dist(v), fresh.dist(v)) << v;
+    EXPECT_EQ(reused.parent(v), fresh.parent(v)) << v;
+    EXPECT_EQ(reused.parent_edge(v), fresh.parent_edge(v)) << v;
+  }
+}
+
+TEST(BoundedBfs, ReuseMatchesFreshAcrossOverlappingAndDisjointBalls) {
+  // 10x10 grid: balls of radius 3 around 0 and 11 overlap, the radius-2
+  // ball around the far corner 99 is disjoint from both, and the last
+  // multi-source run repeats sources (duplicates must collapse).
+  const Graph g = grid_graph(10, 10);
+  BoundedBfs bfs(g.num_nodes());
+  struct Run {
+    std::vector<NodeId> sources;
+    Dist depth;
+  };
+  const std::vector<Run> runs = {
+      {{0}, 3},          {{11}, 3},        {{99}, 2},          {{55, 12, 55, 12, 87}, 2},
+      {{44}, 1},         {{0}, kUnreachable}, {{99, 99}, 0},   {{3}, 4},
+  };
+  for (const Run& run : runs) {
+    bfs.run_multi(GraphView(g), run.sources, run.depth);
+    SCOPED_TRACE(::testing::Message() << "source " << run.sources.front() << " depth "
+                                      << run.depth);
+    expect_matches_fresh(g, bfs, run.sources, run.depth);
+  }
 }
 
 TEST(SubgraphView, EmptySubgraphDisconnects) {

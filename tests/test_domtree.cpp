@@ -1,13 +1,40 @@
 // The four dominating-tree algorithms (paper Algorithms 1, 2, 4, 5),
 // validated against the exhaustive property checkers on structured and
-// random graphs.
+// random graphs, plus the builder's reuse contract: a returned tree copies
+// out cleanly, and a warmed-up builder allocates nothing per root.
+//
+// This binary replaces the global operator new/delete with a counting
+// pair (malloc/free underneath) so that allocation-freedom is a plain
+// assertion instead of a profiler reading.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <vector>
 
 #include "core/dominating_tree.hpp"
 #include "geom/ball_graph.hpp"
 #include "geom/synthetic.hpp"
 #include "graph/connectivity.hpp"
+#include "support/corpus.hpp"
 #include "util/rng.hpp"
+
+namespace {
+
+/// Allocations made by threads that set t_count_allocs.
+std::atomic<std::size_t> g_counted_allocs{0};
+thread_local bool t_count_allocs = false;
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (t_count_allocs) g_counted_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t /*size*/) noexcept { std::free(p); }
 
 namespace remspan {
 namespace {
@@ -239,6 +266,86 @@ TEST(DomTreeBuilder, ReusableAcrossRootsAndAlgorithms) {
     EXPECT_EQ(shared.mis(u, 2).edges(), fresh.mis(u, 2).edges());
     EXPECT_EQ(shared.greedy_k(u, 2).edges(), fresh.greedy_k(u, 2).edges());
     EXPECT_EQ(shared.mis_k(u, 2).edges(), fresh.mis_k(u, 2).edges());
+  }
+}
+
+/// Every by-node answer of `tree` over the node universe [0, n).
+struct TreeAnswers {
+  std::vector<bool> contains;
+  std::vector<Dist> depth;
+  std::vector<NodeId> parent, branch;
+  std::vector<EdgeId> parent_edge;
+
+  TreeAnswers(const RootedTree& tree, NodeId n) {
+    for (NodeId v = 0; v < n; ++v) {
+      contains.push_back(tree.contains(v));
+      depth.push_back(tree.depth(v));
+      parent.push_back(tree.parent(v));
+      branch.push_back(tree.branch(v));
+      parent_edge.push_back(tree.parent_edge(v));
+    }
+  }
+  friend bool operator==(const TreeAnswers&, const TreeAnswers&) = default;
+};
+
+TEST(DomTreeBuilder, CopiedTreeOutlivesLaterBuilds) {
+  // The builder hands out its own reusable tree; a copy must own its
+  // members, so building other roots afterwards leaves it untouched.
+  Rng rng(211);
+  const Graph g = connected_gnp(40, 0.12, rng);
+  const NodeId n = g.num_nodes();
+  DomTreeBuilder builder(g);
+  const auto build = [&](int algo, NodeId u) -> const RootedTree& {
+    switch (algo) {
+      case 0:
+        return builder.greedy(u, 3, 1);
+      case 1:
+        return builder.mis(u, 3);
+      case 2:
+        return builder.greedy_k(u, 2);
+      case 3:
+        return builder.mis_k(u, 2);
+      default:
+        return builder.mpr(u);
+    }
+  };
+  for (int algo = 0; algo < 5; ++algo) {
+    const RootedTree& built = build(algo, 0);
+    const TreeAnswers want(built, n);
+    const RootedTree copy = built;
+    for (NodeId u = 1; u < n; ++u) {
+      for (int other = 0; other < 5; ++other) (void)build(other, u);
+    }
+    EXPECT_TRUE(TreeAnswers(copy, n) == want) << "algorithm " << algo;
+    EXPECT_EQ(copy.root(), 0u);
+  }
+}
+
+TEST(DomTreeBuilder, WarmBuilderAllocatesNothingPerRoot) {
+  // After one warm-up pass has grown every per-build table to its largest
+  // ball, a second pass of all five builders over every root of each
+  // corpus graph must not touch the heap.
+  for (int family = 0; family < testsupport::kNumEquivalenceFamilies; ++family) {
+    const Graph g = testsupport::equivalence_family(family, 31 + family);
+    DomTreeBuilder builder(g);
+    const auto pass = [&] {
+      std::size_t edges = 0;
+      for (NodeId u = 0; u < g.num_nodes(); ++u) {
+        edges += builder.greedy(u, 3, 1).num_edges();
+        edges += builder.mis(u, 3).num_edges();
+        edges += builder.greedy_k(u, 2).num_edges();
+        edges += builder.mis_k(u, 2).num_edges();
+        edges += builder.mpr(u).num_edges();
+      }
+      return edges;
+    };
+    const std::size_t warm = pass();
+    g_counted_allocs.store(0);
+    t_count_allocs = true;
+    const std::size_t again = pass();
+    t_count_allocs = false;
+    EXPECT_EQ(g_counted_allocs.load(), 0u) << "family " << family;
+    EXPECT_EQ(again, warm) << "family " << family;
   }
 }
 

@@ -195,11 +195,11 @@ TEST(RemoteSpanner, RecordedParentEdgeIdsMatchAdjacencySearch) {
 }
 
 TEST(RemoteSpanner, ConcurrentUnionIsDeterministic) {
-  // The shared atomic-bitset union must give one well-defined edge set no
-  // matter how roots are scheduled across workers: repeated parallel builds
-  // agree bit-for-bit. Run on a graph large enough that every pool worker
-  // actually participates (this is also the TSan workout for the relaxed
-  // fetch_or publication path).
+  // The per-worker union must give one well-defined edge set no matter how
+  // roots are scheduled across workers: repeated parallel builds agree
+  // bit-for-bit. Run on a graph large enough that every pool worker
+  // actually participates (this is also the TSan workout for the
+  // per-worker partials and their reduction after the join).
   Rng rng(325);
   const Graph g = connected_ubg(400, 6.0, rng);
   const EdgeSet first = build_low_stretch_remote_spanner(g, 0.5);

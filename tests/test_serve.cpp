@@ -196,11 +196,15 @@ TEST(ServeService, EpochsAreMonotoneAndJournalReplayIsBitExact) {
   const ChurnTrace trace = random_edge_churn_trace(g, 12, 25, 0.15, 42);
   std::uint64_t last_epoch = service.snapshot(id)->epoch();
   EXPECT_EQ(last_epoch, 0u);
+  // Snapshots take their edge count from the engine instead of re-counting
+  // the copied bitset: the two must agree on every published epoch.
+  EXPECT_EQ(service.snapshot(id)->num_spanner_edges(), service.snapshot(id)->spanner().size());
   for (const auto& batch : trace.batches) {
     ASSERT_EQ(service.submit(id, batch), Admission::kAccepted);
     service.flush(id);
     const auto snap = service.snapshot(id);
     EXPECT_GE(snap->epoch(), last_epoch);
+    EXPECT_EQ(snap->num_spanner_edges(), snap->spanner().size()) << "epoch " << snap->epoch();
     last_epoch = snap->epoch();
   }
 

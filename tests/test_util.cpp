@@ -148,32 +148,6 @@ TEST(DynamicBitset, FromWordsSizeMismatchTripsCheck) {
   EXPECT_THROW(DynamicBitset::from_words(70, std::vector<std::uint64_t>(3)), CheckError);
 }
 
-TEST(AtomicBitset, SetTestSnapshot) {
-  AtomicBitset bits(130);
-  bits.set(0);
-  bits.set(64);
-  bits.or_word(2, std::uint64_t{1} << 1);  // bit 129
-  EXPECT_TRUE(bits.test(0));
-  EXPECT_TRUE(bits.test(129));
-  EXPECT_FALSE(bits.test(63));
-  const DynamicBitset snap = bits.snapshot();
-  EXPECT_EQ(snap.count(), 3u);
-  EXPECT_TRUE(snap.test(64));
-}
-
-TEST(AtomicBitset, ConcurrentSettersProduceExactUnion) {
-  // Many workers set interleaved, overlapping bit ranges; the snapshot must
-  // be the exact union. This is the TSan coverage for the set-only phase
-  // the shared spanner union relies on.
-  constexpr std::size_t kBits = 4096;
-  AtomicBitset bits(kBits);
-  ThreadPool::global().parallel_for(0, 64, [&](std::size_t task) {
-    for (std::size_t i = task % 3; i < kBits; i += 3) bits.set(i);
-  });
-  const DynamicBitset snap = bits.snapshot();
-  EXPECT_EQ(snap.count(), kBits);
-}
-
 TEST(DynamicBitset, SetAllRespectsSize) {
   DynamicBitset bits(67);
   bits.set_all();
@@ -216,118 +190,6 @@ TEST(DynamicBitset, SizeMismatchedDifferenceTripsCheck) {
   DynamicBitset b(127);
   EXPECT_THROW(a -= b, CheckError);
   EXPECT_THROW(b -= a, CheckError);
-}
-
-TEST(AtomicBitset, ClearDropsSingleBits) {
-  AtomicBitset bits(130);
-  bits.set(0);
-  bits.set(64);
-  bits.set(129);
-  bits.clear(64);
-  bits.clear(1);  // clearing an unset bit is a no-op
-  const DynamicBitset snap = bits.snapshot();
-  EXPECT_EQ(snap.count(), 2u);
-  EXPECT_TRUE(snap.test(0));
-  EXPECT_FALSE(snap.test(64));
-  EXPECT_TRUE(snap.test(129));
-}
-
-TEST(AtomicBitset, ClearBatchMirrorsOrBatch) {
-  // clear_batch must retire exactly the bits or_batch published, with the
-  // same word-level batching discipline (indices sorted in place, one RMW
-  // per touched word).
-  constexpr std::size_t kBits = 1000;
-  AtomicBitset bits(kBits);
-  std::vector<std::uint32_t> published;
-  for (std::uint32_t i = 0; i < kBits; i += 7) published.push_back(i);
-  std::vector<std::uint32_t> shuffled(published.rbegin(), published.rend());
-  bits.or_batch(shuffled);
-  std::vector<std::uint32_t> retire;
-  for (std::uint32_t i = 0; i < kBits; i += 14) retire.push_back(i);
-  bits.clear_batch(retire);
-  const DynamicBitset snap = bits.snapshot();
-  for (const std::uint32_t i : published) {
-    EXPECT_EQ(snap.test(i), i % 14 != 0) << "bit " << i;
-  }
-}
-
-TEST(AtomicBitset, OrBatchEmptyBatchTouchesNothing) {
-  AtomicBitset bits(256);
-  std::vector<std::uint32_t> batch;
-  EXPECT_EQ(bits.or_batch(batch), 0u);
-  EXPECT_EQ(bits.snapshot().count(), 0u);
-}
-
-TEST(AtomicBitset, OrBatchReturnsDistinctTouchedWords) {
-  // The return value is the RMW count: one per distinct 64-bit word in the
-  // batch, with in-word duplicates merged into a single mask. Indices
-  // straddling word boundaries (63|64, 127|128) must land in separate words.
-  AtomicBitset bits(256);
-  std::vector<std::uint32_t> batch{128, 63, 5, 64, 127, 64, 5};
-  EXPECT_EQ(bits.or_batch(batch), 3u);  // words 0, 1, 2
-  EXPECT_TRUE(std::is_sorted(batch.begin(), batch.end()));  // sorted in place
-  const DynamicBitset snap = bits.snapshot();
-  EXPECT_EQ(snap.count(), 5u);
-  for (const std::uint32_t i : {5u, 63u, 64u, 127u, 128u}) {
-    EXPECT_TRUE(snap.test(i)) << "bit " << i;
-  }
-  EXPECT_FALSE(snap.test(62));
-  EXPECT_FALSE(snap.test(65));
-}
-
-TEST(AtomicBitset, OrBatchCountsWordsEvenWhenBitsAlreadySet) {
-  // words_ord is a cost metric (RMWs issued), not a novelty metric: re-ORing
-  // an already-published batch costs the same word count and must not
-  // disturb the stored union.
-  AtomicBitset bits(256);
-  std::vector<std::uint32_t> batch{0, 70, 200};
-  EXPECT_EQ(bits.or_batch(batch), 3u);
-  std::vector<std::uint32_t> again{200, 0, 70};
-  EXPECT_EQ(bits.or_batch(again), 3u);
-  EXPECT_EQ(bits.snapshot().count(), 3u);
-}
-
-TEST(AtomicBitset, OrBatchConcurrentCallersConserveWordsAndBits) {
-  // Many workers publish overlapping batches concurrently (the static
-  // tree union in core/remote_spanner.cpp). Two conservation laws: the union is exact, and
-  // each caller's return value equals the distinct-word count of its own
-  // batch — a pure function of the batch, independent of interleaving.
-  constexpr std::size_t kBits = 4096;
-  constexpr std::size_t kTasks = 32;
-  AtomicBitset bits(kBits);
-  std::vector<std::size_t> words_ord(kTasks, 0);
-  ThreadPool::global().parallel_for(0, kTasks, [&](std::size_t task) {
-    std::vector<std::uint32_t> batch;
-    for (std::size_t i = task % 5; i < kBits; i += 5) {
-      batch.push_back(static_cast<std::uint32_t>(i));
-    }
-    words_ord[task] = bits.or_batch(batch);
-  });
-  const DynamicBitset snap = bits.snapshot();
-  EXPECT_EQ(snap.count(), kBits);  // residues 0..4 mod 5 jointly cover all
-  for (std::size_t task = 0; task < kTasks; ++task) {
-    // Every stride-5 batch over 4096 bits hits all 64 words.
-    EXPECT_EQ(words_ord[task], kBits / 64) << "task " << task;
-  }
-}
-
-TEST(AtomicBitset, ConcurrentDisjointClearsProduceExactDifference) {
-  // Workers concurrently retire disjoint bit ranges from a full bitset;
-  // relaxed fetch_and must lose nothing (TSan coverage for the refcounted
-  // union's retire phase).
-  constexpr std::size_t kBits = 4096;
-  AtomicBitset bits(kBits);
-  for (std::size_t i = 0; i < kBits; ++i) bits.set(i);
-  ThreadPool::global().parallel_for(0, 64, [&](std::size_t task) {
-    std::vector<std::uint32_t> mine;
-    for (std::size_t i = task; i < kBits; i += 128) mine.push_back(static_cast<std::uint32_t>(i));
-    bits.clear_batch(mine);
-  });
-  const DynamicBitset snap = bits.snapshot();
-  // Tasks 0..63 cleared residues 0..63 mod 128; residues 64..127 survive.
-  EXPECT_EQ(snap.count(), kBits / 2);
-  EXPECT_FALSE(snap.test(0));
-  EXPECT_TRUE(snap.test(64));
 }
 
 TEST(Fit, ExactLine) {
